@@ -642,6 +642,41 @@ fn gateway_fails_over_dead_owners_and_degrades_honestly() {
     live_join.join().unwrap();
 }
 
+/// An untrusted submit body nested far past the JSON depth limit is a
+/// 400 on a shard and at the gateway, not a stack overflow that kills
+/// the process; both keep serving, and the next job completes.
+#[test]
+fn deeply_nested_submit_is_refused_and_the_mesh_keeps_serving() {
+    let _guard = test_lock();
+    let (shard, shard_join) = start_inproc_shard(None, "deep", 0, None);
+    let (gw, gw_join) = start_gateway(peers_of(&[shard.addr()]));
+    let direct = client_at(shard.addr());
+    let proxied = client_at(gw.addr());
+
+    let deep = "[".repeat(200_000) + &"]".repeat(200_000);
+    for (tier, api) in [("shard", &direct), ("gateway", &proxied)] {
+        let resp = api.post("/v1/jobs", &deep).unwrap();
+        assert_eq!(resp.status, 400, "{tier}: {}", resp.body);
+        assert!(
+            resp.body.contains("recursion limit exceeded"),
+            "{tier}: {}",
+            resp.body
+        );
+    }
+
+    let resp = proxied
+        .post("/v1/jobs", &spec_json(&spec("sched", 3)))
+        .unwrap();
+    assert_eq!(resp.status, 202, "{}", resp.body);
+    let submit: SubmitResp = serde_json::from_str(&resp.body).unwrap();
+    assert_eq!(wait_done(&proxied, &submit.id).status, "done");
+
+    gw.shutdown();
+    gw_join.join().unwrap();
+    shard.shutdown();
+    shard_join.join().unwrap();
+}
+
 /// Property 4: an idle shard steals queued (never in-flight) jobs from
 /// a busy peer; both sides' gauges move; everything completes; every
 /// committed entry is origin-stamped.
