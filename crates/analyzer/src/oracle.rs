@@ -6,9 +6,8 @@
 //! significance checking, explanation) is agnostic to how adversarial
 //! inputs are found — exactly the role MetaOpt plays in the paper's Fig. 3.
 
-use std::sync::Mutex;
 use xplain_domains::sched::{lpt, SchedInstance};
-use xplain_domains::te::{DemandPinning, TeLexSolver, TeProblem};
+use xplain_domains::te::{DemandPinning, TeLexSolverStack, TeProblem};
 use xplain_domains::vbp::{first_fit, optimal, VbpInstance};
 
 /// A heuristic-vs-benchmark gap function over a box input space.
@@ -59,31 +58,29 @@ impl<T: GapOracle + ?Sized> GapOracle for &T {
 /// Every evaluation solves two max-flow LPs over the *same* problem
 /// structure (the benchmark total and the heuristic's phase-2 residual
 /// total — the gap needs no vertex, so the lexicographic refinement
-/// stage is skipped), and the oracle keeps prepared [`TeLexSolver`]s:
+/// stage is skipped), and the oracle keeps prepared
+/// [`TeLexSolver`](xplain_domains::te::TeLexSolver)s:
 /// the stage LPs are standardized once and every evaluation re-solves
 /// them through rhs deltas on warm bases — no per-evaluation model
-/// build. Solvers live in
-/// a checkout stack so the explainer's sample threads each hold one for
-/// the duration of an evaluation while the lock itself is only held to
-/// pop/push; the stack grows to the peak number of concurrent callers
-/// and stays warm from then on. Solutions are exact regardless of which
-/// solver a call draws, so contention only costs time, never
+/// build. Solvers live in a [`TeLexSolverStack`], so the explainer's
+/// sample threads each hold one for the duration of an evaluation and
+/// the stack stays warm from then on. Solutions are exact regardless of
+/// which solver a call draws, so contention only costs time, never
 /// determinism.
 pub struct DpOracle {
     pub problem: TeProblem,
     pub heuristic: DemandPinning,
-    solvers: Mutex<Vec<TeLexSolver>>,
+    solvers: TeLexSolverStack,
 }
 
 impl DpOracle {
     pub fn new(problem: TeProblem, threshold: f64) -> Self {
-        let solver = problem
-            .lex_solver()
+        let solvers = TeLexSolverStack::new(&problem)
             .expect("max-flow LP of a validated TeProblem is well-formed");
         DpOracle {
             problem,
             heuristic: DemandPinning::new(threshold),
-            solvers: Mutex::new(vec![solver]),
+            solvers,
         }
     }
 
@@ -91,15 +88,7 @@ impl DpOracle {
     /// (checked-in solvers only — an evaluation in flight on another
     /// thread contributes once it returns its solver).
     pub fn solver_stats(&self) -> xplain_lp::SolverStats {
-        let guard = match self.solvers.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        let mut total = xplain_lp::SolverStats::default();
-        for s in guard.iter() {
-            total.absorb(&s.stats());
-        }
-        total
+        self.solvers.stats()
     }
 }
 
@@ -113,30 +102,13 @@ impl GapOracle for DpOracle {
     }
 
     fn gap(&self, x: &[f64]) -> f64 {
-        // Check a warm solver out of the stack (building one only when
-        // every solver is in flight on another thread), evaluate, check
-        // it back in. A poisoned stack (panicked sibling thread) still
-        // holds valid warm bases — exactness does not depend on them.
-        let checked_out = match self.solvers.lock() {
-            Ok(mut guard) => guard.pop(),
-            Err(poisoned) => poisoned.into_inner().pop(),
-        };
-        let mut solver = match checked_out {
-            Some(solver) => solver,
-            None => match self.problem.lex_solver() {
-                Ok(solver) => solver,
-                Err(_) => return f64::NEG_INFINITY,
-            },
-        };
-        let gap = self
-            .heuristic
-            .gap_prepared(&self.problem, x, &mut solver)
-            .unwrap_or(f64::NEG_INFINITY);
-        match self.solvers.lock() {
-            Ok(mut guard) => guard.push(solver),
-            Err(poisoned) => poisoned.into_inner().push(solver),
-        }
-        gap
+        self.solvers
+            .with(&self.problem, |solver| {
+                self.heuristic.gap_prepared(&self.problem, x, solver)
+            })
+            .ok()
+            .and_then(Result::ok)
+            .unwrap_or(f64::NEG_INFINITY)
     }
 
     fn dim_names(&self) -> Vec<String> {

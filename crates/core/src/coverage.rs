@@ -58,11 +58,12 @@ pub fn estimate_coverage(
     let mut bad = 0usize;
     let mut bad_and_covered = 0usize;
     let mut valid = 0usize;
+    // One sample buffer for both passes, refilled in place.
+    let mut x: Vec<f64> = Vec::with_capacity(dims);
 
     for _ in 0..samples {
-        let x: Vec<f64> = (0..dims)
-            .map(|d| rng.gen_range(bounds[d].0..=bounds[d].1))
-            .collect();
+        x.clear();
+        x.extend((0..dims).map(|d| rng.gen_range(bounds[d].0..=bounds[d].1)));
         let g = oracle.gap(&x);
         if !g.is_finite() {
             continue;
@@ -90,9 +91,8 @@ pub fn estimate_coverage(
         let mut attempts = 0usize;
         while produced < per_subspace && attempts < per_subspace * 40 {
             attempts += 1;
-            let x: Vec<f64> = (0..dims)
-                .map(|d| rng.gen_range(s.rough_lo[d]..=s.rough_hi[d]))
-                .collect();
+            x.clear();
+            x.extend((0..dims).map(|d| rng.gen_range(s.rough_lo[d]..=s.rough_hi[d])));
             if !s.contains(&x) {
                 continue;
             }

@@ -165,9 +165,11 @@ pub fn explain(
         let dims = lo.len();
         let mut produced = 0usize;
         let mut attempts = 0usize;
+        let mut x: Vec<f64> = Vec::with_capacity(dims);
         while produced < per_thread && attempts < per_thread * 40 {
             attempts += 1;
-            let x: Vec<f64> = (0..dims).map(|d| rng.gen_range(lo[d]..=hi[d])).collect();
+            x.clear();
+            x.extend((0..dims).map(|d| rng.gen_range(lo[d]..=hi[d])));
             if !subspace.contains(&x) {
                 continue;
             }

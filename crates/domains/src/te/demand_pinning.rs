@@ -73,7 +73,7 @@ impl DemandPinning {
     ) -> Result<TeAllocation, DpError> {
         let pin = self.pin_phase(problem, volumes)?;
         let alloc = problem
-            .solve_max_flow_lex_pooled(volumes, Some(&pin.residual), &pin.pinned, pool)
+            .solve_max_flow_lex_pooled(volumes, Some(&pin.pass.residual), &pin.pass.pinned, pool)
             .map_err(DpError::Lp)?;
         Ok(pin.merge(problem, alloc))
     }
@@ -88,17 +88,30 @@ impl DemandPinning {
     ) -> Result<TeAllocation, DpError> {
         let pin = self.pin_phase(problem, volumes)?;
         let alloc = solver
-            .solve_max_flow_lex(volumes, Some(&pin.residual), &pin.pinned)
+            .solve_max_flow_lex(volumes, Some(&pin.pass.residual), &pin.pass.pinned)
             .map_err(DpError::Lp)?;
         Ok(pin.merge(problem, alloc))
     }
 
-    /// Phase 1: pin. Process in demand order (deterministic).
+    /// Phase 1: pin, recording each pinned demand's shortest-path flow.
     fn pin_phase(&self, problem: &TeProblem, volumes: &[f64]) -> Result<PinPhase, DpError> {
+        let mut flows: Vec<Vec<f64>> = problem.paths.iter().map(|ps| vec![0.0; ps.len()]).collect();
+        let pass = self.pin_pass(problem, volumes, |k, route| flows[k][0] = route)?;
+        Ok(PinPhase { pass, flows })
+    }
+
+    /// The pin pass itself, in demand order (deterministic). `on_route`
+    /// sees each routed pin as `(demand, amount)`; the gap needs only the
+    /// totals, so it builds no per-path flow matrix.
+    fn pin_pass(
+        &self,
+        problem: &TeProblem,
+        volumes: &[f64],
+        mut on_route: impl FnMut(usize, f64),
+    ) -> Result<PinPass, DpError> {
         let n = problem.num_demands();
         let pinned = self.pinned(volumes);
         let mut residual: Vec<f64> = problem.topology.links.iter().map(|l| l.capacity).collect();
-        let mut flows: Vec<Vec<f64>> = problem.paths.iter().map(|ps| vec![0.0; ps.len()]).collect();
         let mut pinned_total = 0.0;
 
         for k in 0..n {
@@ -131,13 +144,12 @@ impl DemandPinning {
             for &l in &shortest.links {
                 residual[l] -= route;
             }
-            flows[k][0] = route;
+            on_route(k, route);
             pinned_total += route;
         }
-        Ok(PinPhase {
+        Ok(PinPass {
             pinned,
             residual,
-            flows,
             pinned_total,
         })
     }
@@ -177,7 +189,7 @@ impl DemandPinning {
         solver: &mut TeLexSolver,
     ) -> Result<f64, DpError> {
         let opt_total = solver.total_flow(volumes, None, &[]).map_err(DpError::Lp)?;
-        let pin = self.pin_phase(problem, volumes)?;
+        let pin = self.pin_pass(problem, volumes, |_, _| {})?;
         let phase2_total = solver
             .total_flow(volumes, Some(&pin.residual), &pin.pinned)
             .map_err(DpError::Lp)?;
@@ -185,12 +197,18 @@ impl DemandPinning {
     }
 }
 
-/// The deterministic pin pass: what phase 1 routed and what is left.
-struct PinPhase {
+/// The deterministic pin pass: which demands are pinned, what capacity
+/// is left, and how much the pins routed in total.
+struct PinPass {
     pinned: Vec<bool>,
     residual: Vec<f64>,
-    flows: Vec<Vec<f64>>,
     pinned_total: f64,
+}
+
+/// A pin pass plus the per-path flows it routed.
+struct PinPhase {
+    pass: PinPass,
+    flows: Vec<Vec<f64>>,
 }
 
 impl PinPhase {
@@ -198,13 +216,13 @@ impl PinPhase {
     fn merge(mut self, problem: &TeProblem, alloc: TeAllocation) -> TeAllocation {
         for (k, paths) in problem.paths.iter().enumerate() {
             for (p, _) in paths.iter().enumerate() {
-                if !self.pinned[k] {
+                if !self.pass.pinned[k] {
                     self.flows[k][p] = alloc.flows[k][p];
                 }
             }
         }
         TeAllocation {
-            total: self.pinned_total + alloc.total,
+            total: self.pass.pinned_total + alloc.total,
             flows: self.flows,
         }
     }

@@ -9,5 +9,5 @@ pub mod topology;
 pub use demand_pinning::{DemandPinning, DpError, PinOverflow};
 pub use dsl::TeDsl;
 pub use paths::{k_shortest_paths, Path};
-pub use problem::{DemandPair, TeAllocation, TeLexSolver, TeProblem};
+pub use problem::{DemandPair, TeAllocation, TeLexSolver, TeLexSolverStack, TeProblem};
 pub use topology::{Link, Topology};

@@ -4,6 +4,7 @@
 use crate::te::paths::{k_shortest_paths, Path};
 use crate::te::topology::Topology;
 use serde::{Deserialize, Serialize};
+use std::sync::{Mutex, MutexGuard};
 use xplain_lp::{Cmp, LinExpr, LpError, Model, Prepared, Sense, SessionPool, SolverStats, VarType};
 
 /// A demand endpoint pair (amounts are supplied separately — they are the
@@ -448,27 +449,75 @@ impl TeLexSolver {
         Ok(self.pool.solve_prepared(&self.stage1)?.objective)
     }
 
-    /// Clone the prepared stage LPs with a *fresh* session pool.
+    /// Forget every cached basis, so the next solve starts cold.
     ///
-    /// Every solve through the clone starts cold, so the returned vertex
-    /// depends only on the input — exactly the model-building path's
-    /// behavior, minus the per-call model build and standardization. This
-    /// is what callers that need vertex determinism across threads (the
-    /// explainer's DSL mappers) use: one prototype, one cheap cold clone
-    /// per evaluation.
-    pub fn cold_clone(&self) -> TeLexSolver {
-        TeLexSolver {
-            stage1: self.stage1.clone(),
-            stage2: self.stage2.clone(),
-            path_counts: self.path_counts.clone(),
-            link_caps: self.link_caps.clone(),
-            pool: SessionPool::new(),
-        }
+    /// A cold solve's vertex depends only on the input — exactly the
+    /// model-building path's behavior, minus the per-call model build and
+    /// standardization. Callers that need vertex determinism across
+    /// threads (the explainer's DSL mappers) reset a reused solver before
+    /// each evaluation; the sessions keep their workspaces, so the reset
+    /// solver allocates no more than a warm one.
+    pub fn reset(&mut self) {
+        self.pool.reset();
     }
 
     /// Aggregate solver statistics of the internal pool.
     pub fn stats(&self) -> SolverStats {
         self.pool.stats()
+    }
+}
+
+/// A thread-safe checkout stack of [`TeLexSolver`]s for one problem.
+///
+/// Callers that fan evaluations across threads (the gap oracle, the
+/// explainer's DSL mapper) pop a solver, use it, and push it back: the
+/// lock is held only to pop and push, and the stack grows to the peak
+/// number of concurrent callers. A poisoned stack (a panicked sibling
+/// thread) still holds valid solvers, so it is used as is.
+pub struct TeLexSolverStack {
+    solvers: Mutex<Vec<TeLexSolver>>,
+}
+
+impl TeLexSolverStack {
+    /// A stack holding one solver for `problem`.
+    pub fn new(problem: &TeProblem) -> Result<Self, LpError> {
+        Ok(TeLexSolverStack {
+            solvers: Mutex::new(vec![problem.lex_solver()?]),
+        })
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Vec<TeLexSolver>> {
+        self.solvers
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    /// Run `f` on a checked-out solver, building one only when every
+    /// solver is in flight on another thread. `problem` must be the one
+    /// the stack was built for.
+    pub fn with<T>(
+        &self,
+        problem: &TeProblem,
+        f: impl FnOnce(&mut TeLexSolver) -> T,
+    ) -> Result<T, LpError> {
+        let checked_out = self.lock().pop();
+        let mut solver = match checked_out {
+            Some(solver) => solver,
+            None => problem.lex_solver()?,
+        };
+        let out = f(&mut solver);
+        self.lock().push(solver);
+        Ok(out)
+    }
+
+    /// Aggregate solver statistics of the checked-in solvers (one in
+    /// flight on another thread contributes once it is returned).
+    pub fn stats(&self) -> SolverStats {
+        let mut total = SolverStats::default();
+        for s in self.lock().iter() {
+            total.absorb(&s.stats());
+        }
+        total
     }
 }
 

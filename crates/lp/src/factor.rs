@@ -42,6 +42,11 @@ struct Eta {
 }
 
 /// A product-form factorization of the current basis matrix.
+///
+/// Rebuilt in place ([`Factorization::rebuild`]): the eta arena, the
+/// permutation and the build scratch keep their capacity across
+/// refactorizations, so a long-lived solver session stops allocating
+/// once its buffers have grown to the largest basis it has seen.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Factorization {
     m: usize,
@@ -54,6 +59,10 @@ pub(crate) struct Factorization {
     /// Number of *update* etas appended since the base build — the
     /// refactorization cadence counter (the old `pivots_since_refactor`).
     updates: usize,
+    /// Build scratch: rows already pivoted on.
+    pivoted: Vec<bool>,
+    /// Build scratch: the dense working column.
+    w: Vec<f64>,
 }
 
 /// Smallest pivot magnitude accepted while building the base.
@@ -62,26 +71,40 @@ const BUILD_TOL: f64 = 1e-9;
 impl Factorization {
     /// Factorize the basis whose columns are `cols[k]` (sparse
     /// `(row, value)` lists). Returns `None` if the matrix is singular.
+    #[cfg(test)]
     pub fn build(m: usize, cols: &[&[(usize, f64)]]) -> Option<Factorization> {
-        debug_assert_eq!(cols.len(), m);
-        let mut f = Factorization {
-            m,
-            row_of_pos: Vec::with_capacity(m),
-            nz: Vec::with_capacity(4 * m),
-            etas: Vec::with_capacity(2 * m),
-            updates: 0,
-        };
-        let mut pivoted = vec![false; m];
-        let mut w = vec![0.0; m];
-        for col in cols {
+        let mut f = Factorization::default();
+        f.rebuild(m, |k| cols[k]).then_some(f)
+    }
+
+    /// Refactorize in place: the basis has `m` positions and position
+    /// `k`'s column is `col(k)` (a sparse `(row, value)` list). Returns
+    /// `false` if the matrix is singular, leaving the factorization
+    /// unusable until the next successful rebuild.
+    pub fn rebuild<'c>(&mut self, m: usize, col: impl Fn(usize) -> &'c [(usize, f64)]) -> bool {
+        self.m = m;
+        self.updates = 0;
+        self.row_of_pos.clear();
+        self.nz.clear();
+        self.nz.reserve(4 * m);
+        self.etas.clear();
+        self.etas.reserve(2 * m);
+        let mut pivoted = std::mem::take(&mut self.pivoted);
+        let mut w = std::mem::take(&mut self.w);
+        pivoted.clear();
+        pivoted.resize(m, false);
+        w.clear();
+        w.resize(m, 0.0);
+        let mut ok = true;
+        for k in 0..m {
             // w = (E_{k-1} … E_1) a_{B(k)}
             for x in w.iter_mut() {
                 *x = 0.0;
             }
-            for &(r, v) in *col {
+            for &(r, v) in col(k) {
                 w[r] += v;
             }
-            f.apply(&mut w);
+            self.apply(&mut w);
             // Partial pivoting over not-yet-pivoted rows; ties break to the
             // smallest row index (deterministic).
             let mut r_best = usize::MAX;
@@ -93,13 +116,16 @@ impl Factorization {
                 }
             }
             if p_best < BUILD_TOL {
-                return None;
+                ok = false;
+                break;
             }
-            f.push_eta(&w, r_best);
+            self.push_eta(&w, r_best);
             pivoted[r_best] = true;
-            f.row_of_pos.push(r_best);
+            self.row_of_pos.push(r_best);
         }
-        Some(f)
+        self.pivoted = pivoted;
+        self.w = w;
+        ok
     }
 
     /// Store one eta from the dense working column `w` with pivot `row`.

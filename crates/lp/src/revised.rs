@@ -43,6 +43,15 @@
 //!   *byte-for-byte identical* to materializing the edited model and
 //!   calling [`SolverSession::solve_unchecked`] — same standardized data,
 //!   same pivots, same bits out.
+//! * **Allocation-free re-solves.** A session owns a workspace holding
+//!   every buffer the core works in (statuses, basis, basic values,
+//!   reduced costs, devex weights, ftran/btran scratch, artificials, the
+//!   cold-start residual, the warm-start flip list) and the factorization
+//!   arena, which refactorizations rebuild in place. Once one solve has
+//!   sized them, a re-solve — warm, or cold after
+//!   [`SolverSession::reset`], which drops the cached basis but keeps the
+//!   buffers — allocates exactly once: the returned `Solution::values`
+//!   (pinned by `lp/tests/alloc_budget.rs`).
 
 use crate::counters;
 use crate::error::LpError;
@@ -319,19 +328,39 @@ pub struct Probe {
     pub rhs: Vec<(usize, f64)>,
 }
 
-/// The cached end state of a solve, reusable when the next model has the
-/// same `(vars, constraints)` shape.
-#[derive(Debug, Clone)]
-struct WarmBasis {
+/// Which solve the basis held in a session's [`Workspace`] came from: it
+/// is reusable when the next model has the same `(vars, constraints)`
+/// shape, and its factorization only while the matrix fingerprint matches.
+#[derive(Debug, Clone, Copy)]
+struct WarmKey {
     n_struct: usize,
     m: usize,
+    matrix_fp: u64,
+}
+
+/// Every buffer the solver core works in, owned by the session so that
+/// re-solves allocate nothing: [`Core::new`] takes the buffers at the
+/// start of a solve and [`Core::release`] hands them back at the end.
+/// Each solve resets what it reads, so stale contents never leak into a
+/// result. While the session holds a [`WarmKey`], `status`, `basis` and
+/// `lu` *are* the cached basis; `lu` carries its own update count, so the
+/// refactorization cadence holds session-wide.
+#[derive(Debug, Default)]
+struct Workspace {
+    art: Vec<(usize, f64)>,
+    art_hi: Vec<f64>,
     status: Vec<Status>,
     basis: Vec<usize>,
-    /// Basis factorization at the end of the donor solve, valid only while
-    /// the constraint matrix fingerprint matches. Carries its own update
-    /// count, so the refactorization cadence holds session-wide.
     lu: Factorization,
-    matrix_fp: u64,
+    xb: Vec<f64>,
+    d: Vec<f64>,
+    devex: Vec<f64>,
+    work: Vec<f64>,
+    w_pos: Vec<f64>,
+    rho: Vec<f64>,
+    alpha: Vec<f64>,
+    resid: Vec<f64>,
+    flips: Vec<usize>,
 }
 
 /// A warm-startable solver handle.
@@ -342,7 +371,8 @@ struct WarmBasis {
 /// constraint count) falls back to a cold start transparently.
 #[derive(Debug, Default)]
 pub struct SolverSession {
-    warm: Option<WarmBasis>,
+    warm: Option<WarmKey>,
+    ws: Workspace,
     /// Counters over the lifetime of this session.
     pub stats: SolverStats,
 }
@@ -440,29 +470,25 @@ impl SolverSession {
             .warm
             .take()
             .filter(|w| w.n_struct == lp.n_struct && w.m == lp.m);
-        let mut core = Core::new(lp, max_iterations, feas_tol);
+        let mut core = Core::new(lp, &mut self.ws, max_iterations, feas_tol);
         let out = core.run(warm, opt_tol);
+        let stats = core.stats;
+        core.release(&mut self.ws);
         // Cache the basis even on Infeasible (a later bound relaxation can
         // still warm-start from it); drop it on numerical trouble.
-        match &out {
+        self.warm = match &out {
             Ok(_) | Err(LpError::Infeasible) | Err(LpError::Unbounded) => {
-                // Move (not clone) the end state out of the core: this
-                // runs once per solve on the hot path.
-                let mut status = std::mem::take(&mut core.status);
-                status.truncate(lp.ncols);
-                self.warm = Some(WarmBasis {
+                self.ws.status.truncate(lp.ncols);
+                Some(WarmKey {
                     n_struct: lp.n_struct,
                     m: lp.m,
-                    status,
-                    basis: std::mem::take(&mut core.basis),
-                    lu: std::mem::take(&mut core.lu),
                     matrix_fp: lp.matrix_fp,
-                });
+                })
             }
-            Err(_) => self.warm = None,
-        }
-        self.stats.absorb(&core.stats);
-        counters::record(&core.stats);
+            Err(_) => None,
+        };
+        self.stats.absorb(&stats);
+        counters::record(&stats);
         let values = out?;
         let objective = objective.eval(&values);
         if !objective.is_finite() {
@@ -471,7 +497,8 @@ impl SolverSession {
         Ok(Solution { objective, values })
     }
 
-    /// Forget the cached basis (the next solve is cold).
+    /// Forget the cached basis (the next solve is cold). The workspace
+    /// buffers stay, so the cold solve allocates no more than a warm one.
     pub fn reset(&mut self) {
         self.warm = None;
     }
@@ -538,6 +565,14 @@ impl SessionPool {
         self.session_for_shape(key).solve_batch(prep, probes)
     }
 
+    /// [`SolverSession::reset`] every session: the next solve of each
+    /// shape is cold, and the sessions keep their workspaces.
+    pub fn reset(&mut self) {
+        for (_, s) in &mut self.entries {
+            s.reset();
+        }
+    }
+
     /// Aggregate statistics across every session in the pool.
     pub fn stats(&self) -> SolverStats {
         let mut total = SolverStats::default();
@@ -601,6 +636,11 @@ struct Core<'a> {
     /// candidate scan and the price maintenance of the same pivot share
     /// one btran + one matrix sweep instead of doing each twice.
     alpha: Vec<f64>,
+    /// Cold-start scratch: each row's residual once the structurals rest
+    /// at their bounds.
+    resid: Vec<f64>,
+    /// Warm-start scratch: nonbasic columns to flip to their other bound.
+    flips: Vec<usize>,
 }
 
 /// What a primal phase should minimize.
@@ -625,26 +665,73 @@ enum DState {
 }
 
 impl<'a> Core<'a> {
-    fn new(lp: &'a StdLp, max_iterations: usize, feas_tol: f64) -> Self {
+    /// A core working in `ws`'s buffers (taken, not copied). `status`,
+    /// `basis` and `lu` keep the session's cached basis for
+    /// [`Core::try_warm`]; a cold start overwrites them.
+    fn new(lp: &'a StdLp, ws: &mut Workspace, max_iterations: usize, feas_tol: f64) -> Self {
+        let Workspace {
+            mut art,
+            mut art_hi,
+            status,
+            basis,
+            lu,
+            xb,
+            d,
+            devex,
+            mut work,
+            mut w_pos,
+            mut rho,
+            alpha,
+            resid,
+            flips,
+        } = std::mem::take(ws);
+        art.clear();
+        art_hi.clear();
+        for v in [&mut work, &mut w_pos, &mut rho] {
+            v.clear();
+            v.resize(lp.m, 0.0);
+        }
         Core {
             lp,
-            art: Vec::new(),
-            art_hi: Vec::new(),
-            status: vec![Status::AtLower; lp.ncols],
-            basis: Vec::new(),
-            lu: Factorization::default(),
-            xb: Vec::new(),
+            art,
+            art_hi,
+            status,
+            basis,
+            lu,
+            xb,
             m: lp.m,
             iters_left: max_iterations,
             feas_tol,
             stats: SolverStats::default(),
-            d: Vec::new(),
-            devex: Vec::new(),
-            work: vec![0.0; lp.m],
-            w_pos: vec![0.0; lp.m],
-            rho: vec![0.0; lp.m],
-            alpha: Vec::new(),
+            d,
+            devex,
+            work,
+            w_pos,
+            rho,
+            alpha,
+            resid,
+            flips,
         }
+    }
+
+    /// Hand the buffers (and with them the end-of-solve basis) back.
+    fn release(self, ws: &mut Workspace) {
+        *ws = Workspace {
+            art: self.art,
+            art_hi: self.art_hi,
+            status: self.status,
+            basis: self.basis,
+            lu: self.lu,
+            xb: self.xb,
+            d: self.d,
+            devex: self.devex,
+            work: self.work,
+            w_pos: self.w_pos,
+            rho: self.rho,
+            alpha: self.alpha,
+            resid: self.resid,
+            flips: self.flips,
+        };
     }
 
     #[inline]
@@ -769,19 +856,8 @@ impl<'a> Core<'a> {
     /// The factorization rebuild alone; `false` on a singular basis.
     fn refactor_basis(&mut self) -> bool {
         self.stats.refactorizations += 1;
-        let cols: Vec<&[(usize, f64)]> = self
-            .basis
-            .iter()
-            .map(|&j| column(self.lp, &self.art, j))
-            .collect();
-        match Factorization::build(self.m, &cols) {
-            Some(f) => {
-                drop(cols);
-                self.lu = f;
-                true
-            }
-            None => false,
-        }
+        let (lp, art, basis) = (self.lp, &self.art, &self.basis);
+        self.lu.rebuild(self.m, |k| column(lp, art, basis[k]))
     }
 
     /// `xb = B⁻¹ (b - N x_N)` from statuses.
@@ -1218,7 +1294,8 @@ impl<'a> Core<'a> {
         let lp = self.lp;
         self.art.clear();
         self.art_hi.clear();
-        self.status = vec![Status::AtLower; lp.ncols];
+        self.status.clear();
+        self.status.resize(lp.ncols, Status::AtLower);
         for j in 0..lp.n_struct {
             self.status[j] = if lp.lo[j].is_finite() {
                 Status::AtLower
@@ -1229,7 +1306,9 @@ impl<'a> Core<'a> {
             };
         }
         // Residual per row once the structurals rest at their bounds.
-        let mut resid = lp.b.clone();
+        let mut resid = std::mem::take(&mut self.resid);
+        resid.clear();
+        resid.extend_from_slice(&lp.b);
         for j in 0..lp.n_struct {
             let v = self.nonbasic_value(j);
             if v != 0.0 {
@@ -1238,8 +1317,9 @@ impl<'a> Core<'a> {
                 }
             }
         }
-        self.basis = Vec::with_capacity(self.m);
-        self.xb = vec![0.0; self.m];
+        self.basis.clear();
+        self.xb.clear();
+        self.xb.resize(self.m, 0.0);
         for r in 0..self.m {
             let s = lp.n_struct + r;
             let (slo, shi) = (lp.lo[s], lp.hi[s]);
@@ -1266,6 +1346,7 @@ impl<'a> Core<'a> {
                 self.xb[r] = art_v.abs();
             }
         }
+        self.resid = resid;
         // The starting basis matrix is diagonal (slack +1 / artificial ±1):
         // its factorization is m trivial single-entry etas.
         if !self.refactor_basis() {
@@ -1332,7 +1413,7 @@ impl<'a> Core<'a> {
 
     /// Full solve: optional warm basis, then phases as needed. Returns the
     /// structural variable values.
-    fn run(&mut self, warm: Option<WarmBasis>, opt_tol: f64) -> Result<Vec<f64>, LpError> {
+    fn run(&mut self, warm: Option<WarmKey>, opt_tol: f64) -> Result<Vec<f64>, LpError> {
         self.stats.solves += 1;
         let mut warmed = false;
         if let Some(w) = warm {
@@ -1347,16 +1428,15 @@ impl<'a> Core<'a> {
 
     /// Attempt the warm path. `Ok(true)` if it ran to optimality,
     /// `Ok(false)` to request a cold start, `Err` on a definitive status.
-    fn try_warm(&mut self, w: WarmBasis, opt_tol: f64) -> Result<bool, LpError> {
+    /// The cached basis is the one `Core::new` took over from the session.
+    fn try_warm(&mut self, w: WarmKey, opt_tol: f64) -> Result<bool, LpError> {
         let lp = self.lp;
-        if w.basis.len() != self.m || w.status.len() != lp.ncols {
+        if self.basis.len() != self.m || self.status.len() != lp.ncols {
             return Ok(false);
         }
-        if w.basis.iter().any(|&j| j >= lp.ncols) {
+        if self.basis.iter().any(|&j| j >= lp.ncols) {
             return Ok(false);
         }
-        self.status = w.status;
-        self.basis = w.basis;
         // Re-anchor nonbasic statuses against the (possibly changed) bounds.
         for j in 0..lp.ncols {
             if self.status[j] == Status::Basic {
@@ -1375,17 +1455,17 @@ impl<'a> Core<'a> {
                 (false, false) => Status::Free,
             };
         }
-        self.xb = vec![0.0; self.m];
+        self.xb.clear();
+        self.xb.resize(self.m, 0.0);
         if w.matrix_fp == lp.matrix_fp
-            && w.lu.dim() == self.m
-            && w.lu.updates() < refactor_cadence(self.m)
+            && self.lu.dim() == self.m
+            && self.lu.updates() < refactor_cadence(self.m)
         {
             // Same constraint matrix: the donor's factorization is still
             // exact for this model — only bounds/rhs moved. Reuse it as-is
             // (no refactorization) and keep its update-count cadence. A
             // donor at or past the refactor cadence rebuilds instead: its
             // eta chain would tax every ftran/btran of this solve.
-            self.lu = w.lu;
             self.recompute_xb();
         } else {
             // Different matrix (or incompatible factorization): rebuild
@@ -1404,7 +1484,7 @@ impl<'a> Core<'a> {
         // flips are what keep those hops warm.
         self.compute_reduced_costs(Objective::Real);
         let mut dual_ok = true;
-        let mut flips: Vec<usize> = Vec::new();
+        self.flips.clear();
         for j in 0..lp.ncols {
             if self.status[j] == Status::Basic || lp.lo[j] == lp.hi[j] {
                 continue;
@@ -1413,7 +1493,7 @@ impl<'a> Core<'a> {
             match self.status[j] {
                 Status::AtLower if d < -DUAL_TOL => {
                     if lp.hi[j].is_finite() {
-                        flips.push(j);
+                        self.flips.push(j);
                     } else {
                         dual_ok = false;
                         break;
@@ -1421,7 +1501,7 @@ impl<'a> Core<'a> {
                 }
                 Status::AtUpper if d > DUAL_TOL => {
                     if lp.lo[j].is_finite() {
-                        flips.push(j);
+                        self.flips.push(j);
                     } else {
                         dual_ok = false;
                         break;
@@ -1444,8 +1524,8 @@ impl<'a> Core<'a> {
         };
 
         if dual_ok {
-            if !flips.is_empty() {
-                for &j in &flips {
+            if !self.flips.is_empty() {
+                for &j in &self.flips {
                     self.status[j] = match self.status[j] {
                         Status::AtLower => Status::AtUpper,
                         Status::AtUpper => Status::AtLower,

@@ -19,10 +19,16 @@
 //! * `rhs_sweep_matches_cold_reference` — rhs-perturbation chains (the
 //!   gap-oracle access pattern);
 //! * `milp_backends_agree` — branch-and-bound with the revised session
-//!   backend vs the reference backend.
+//!   backend vs the reference backend;
+//! * `reused_workspace_matches_fresh_session` — a session reused across
+//!   solves (its buffers kept, its basis dropped by `reset()`) against
+//!   fresh sessions, bit for bit.
 
 use proptest::prelude::*;
-use xplain_lp::{milp, simplex, Cmp, LinExpr, LpError, Model, Sense, SolverSession, VarType};
+use xplain_lp::{
+    milp, simplex, Cmp, LinExpr, LpError, Model, Prepared, Sense, SessionPool, Solution,
+    SolverSession, VarType,
+};
 
 /// Outcome classes the two solvers must agree on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -314,6 +320,195 @@ proptest! {
             );
             prop_assert!(m.check_feasible(&a.values, 1e-6).is_none());
         }
+    }
+}
+
+/// `a` and `b` are the same outcome: equal errors, or solutions equal bit
+/// for bit.
+fn assert_same_bits(a: &Result<Solution, LpError>, b: &Result<Solution, LpError>, what: &str) {
+    match (a, b) {
+        (Ok(x), Ok(y)) => {
+            assert_eq!(x.objective.to_bits(), y.objective.to_bits(), "{what}");
+            assert_eq!(x.values.len(), y.values.len(), "{what}");
+            for (u, v) in x.values.iter().zip(&y.values) {
+                assert_eq!(u.to_bits(), v.to_bits(), "{what}: {x:?} vs {y:?}");
+            }
+        }
+        (Err(x), Err(y)) => assert_eq!(x, y, "{what}"),
+        (x, y) => panic!("{what}: {x:?} vs {y:?}"),
+    }
+}
+
+/// `n` variables in `[0, 1]` and `mrows` rows, the first of which asks
+/// for more than the bounds allow.
+fn infeasible_model(n: usize, mrows: usize) -> Model {
+    let mut m = Model::new(Sense::Maximize);
+    let vars: Vec<_> = (0..n)
+        .map(|i| m.add_var(format!("v{i}"), VarType::Continuous, 0.0, 1.0))
+        .collect();
+    m.add_constr(
+        "over",
+        LinExpr::sum(vars.iter().copied()),
+        Cmp::Ge,
+        n as f64 + 1.0,
+    );
+    for r in 1..mrows {
+        m.add_constr(format!("c{r}"), vars[r % n] + 0.0, Cmp::Le, 1.0);
+    }
+    m.set_objective(LinExpr::sum(vars.iter().copied()));
+    m
+}
+
+/// `n` nonnegative variables, `mrows` rows that bound nothing from above,
+/// and an objective that grows without limit.
+fn unbounded_model(n: usize, mrows: usize) -> Model {
+    let mut m = Model::new(Sense::Maximize);
+    let vars: Vec<_> = (0..n).map(|i| m.add_nonneg(format!("v{i}"))).collect();
+    for r in 0..mrows {
+        m.add_constr(format!("c{r}"), vars[r % n] + 0.0, Cmp::Ge, -1.0);
+    }
+    m.set_objective(LinExpr::sum(vars.iter().copied()));
+    m
+}
+
+/// Maximize over `n` nonnegative variables under `rows.len()` `<=` rows
+/// of positive coefficients: bounded and, for nonnegative rhs, feasible.
+fn packing_model(n: usize, coefs: &[i32], rhs: &[f64], obj: &[i32]) -> Model {
+    let mut m = Model::new(Sense::Maximize);
+    let vars: Vec<_> = (0..n).map(|i| m.add_nonneg(format!("v{i}"))).collect();
+    for (r, &b) in rhs.iter().enumerate() {
+        let mut e = LinExpr::new();
+        for (i, &v) in vars.iter().enumerate() {
+            e.add_term(v, coefs[r * 6 + i] as f64);
+        }
+        m.add_constr(format!("c{r}"), e, Cmp::Le, b);
+    }
+    let mut o = LinExpr::new();
+    for (i, &v) in vars.iter().enumerate() {
+        o.add_term(v, obj[i] as f64);
+    }
+    m.set_objective(o);
+    m
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A session keeps its workspace buffers across solves and across
+    /// `reset()`, so no state may leak from one solve into the next:
+    /// * after `reset()`, whatever the previous solve ended in (optimal,
+    ///   `Infeasible`, `Unbounded`, `IterationLimit`), the reused session
+    ///   returns bit for bit what a fresh session returns;
+    /// * two shapes alternating through one session (every solve cold)
+    ///   or one `SessionPool` (each shape warm on its own history, reset
+    ///   together) match fresh or per-shape sessions;
+    /// * a warm prepared rhs sweep long enough to cross the
+    ///   refactorization cadence (the factorization arena is rebuilt in
+    ///   place) equals the same sweep through built models in a second,
+    ///   fresh session.
+    #[test]
+    fn reused_workspace_matches_fresh_session(
+        n in 1usize..6,
+        mrows in 1usize..6,
+        kinds in collection::vec(0u8..5, 6),
+        lo_raw in collection::vec(-6i32..6, 6),
+        width_raw in collection::vec(0i32..8, 6),
+        coefs in collection::vec(-3i32..4, 36),
+        cmps in collection::vec(0u8..3, 6),
+        rhs in collection::vec(-8i32..9, 6),
+        obj in collection::vec(-3i32..4, 6),
+        sense_bit in 0u8..2,
+        other_coefs in collection::vec(-3i32..4, 36),
+        other_rhs in collection::vec(-8i32..9, 6),
+        iter_cap in 0usize..3,
+        pack_coefs in collection::vec(1i32..4, 36),
+        pack_obj in collection::vec(1i32..4, 6),
+        sweep in collection::vec(0i32..24, 96),
+        resets in collection::vec(0u8..4, 12),
+    ) {
+        let target = build_model(
+            n, mrows, &kinds, &lo_raw, &width_raw, &coefs, &cmps, &rhs, &obj, sense_bit == 1,
+        );
+        let fresh = SolverSession::new().solve(&target);
+
+        // Reset after every kind of ending.
+        let other = build_model(
+            n, mrows, &kinds, &lo_raw, &width_raw, &other_coefs, &cmps, &other_rhs, &obj,
+            sense_bit == 0,
+        );
+        let mut capped = other.clone();
+        capped.options_mut().max_iterations = iter_cap;
+        let mut session = SolverSession::new();
+        let predecessors = [
+            (other, None),
+            (capped, None),
+            (infeasible_model(n, mrows), Some(LpError::Infeasible)),
+            (unbounded_model(n, mrows), Some(LpError::Unbounded)),
+            (infeasible_model(n + 1, mrows + 1), Some(LpError::Infeasible)),
+        ];
+        for (before, expect) in &predecessors {
+            let ended = session.solve(before);
+            if let Some(e) = expect {
+                prop_assert_eq!(ended.as_ref().unwrap_err(), e);
+            }
+            session.reset();
+            prop_assert!(!session.has_warm_basis());
+            let again = session.solve(&target);
+            assert_same_bits(&again, &fresh, &format!("after {ended:?}\nmodel:\n{target}"));
+        }
+
+        // Two shapes alternating: through one session every solve is a
+        // cold start on the other shape's buffers (the last solve above
+        // was `target`, so the alternation starts with the other shape).
+        let wide = packing_model(n + 1, &pack_coefs, &[9.0; 6][..mrows], &pack_obj);
+        for round in 0..3 {
+            for m in [&wide, &target] {
+                let reused = session.solve(m);
+                assert_same_bits(&reused, &SolverSession::new().solve(m), &format!("round {round}"));
+            }
+        }
+        // ...and through one pool, reset together, against one dedicated
+        // session per shape.
+        let mut pool = SessionPool::new();
+        let mut own = [SolverSession::new(), SolverSession::new()];
+        for (step, &r) in resets.iter().enumerate() {
+            if r == 0 {
+                pool.reset();
+                own.iter_mut().for_each(SolverSession::reset);
+            }
+            let b = 2.0 + (step % 5) as f64 * 2.0;
+            let shaped = [
+                packing_model(n, &pack_coefs, &vec![b; mrows], &pack_obj),
+                packing_model(n + 1, &pack_coefs, &vec![b + 1.0; mrows + 1], &pack_obj),
+            ];
+            for (m, own) in shaped.iter().zip(own.iter_mut()) {
+                assert_same_bits(&pool.solve(m), &own.solve(m), &format!("pool step {step}"));
+            }
+        }
+        prop_assert_eq!(pool.len(), 2);
+
+        // A long warm rhs sweep on a session with history, against fresh
+        // built-model solves.
+        let (sn, sm) = ((n + 2).min(6), (mrows + 2).min(6));
+        let base = packing_model(sn, &pack_coefs, &vec![0.0; sm], &pack_obj);
+        let mut prep = Prepared::new(&base).unwrap();
+        session.reset();
+        let before = session.stats;
+        let mut built = SolverSession::new();
+        for step in sweep.chunks_exact(sm) {
+            let b: Vec<f64> = step.iter().map(|&v| v as f64).collect();
+            for (row, &v) in b.iter().enumerate() {
+                prep.set_rhs(row, v);
+            }
+            let a = session.solve_prepared(&prep);
+            let m = packing_model(sn, &pack_coefs, &b, &pack_obj);
+            assert_same_bits(&a, &built.solve_unchecked(&m), &format!("sweep rhs {b:?}"));
+        }
+        prop_assert_eq!(session.stats.diff(&before), built.stats);
+        prop_assert_eq!(built.stats.cold_starts, 1);
+        // The sweep crossed the cadence: beyond the cold start's own
+        // factorization, at least one in-place rebuild ran warm.
+        prop_assert!(built.stats.refactorizations > 1, "{:?}", built.stats);
     }
 }
 

@@ -12,7 +12,10 @@ use xplain_analyzer::oracle::{DpOracle, GapOracle};
 use xplain_analyzer::search::dp_seeds;
 use xplain_core::explainer::DslMapper;
 use xplain_core::generalizer::Observation;
-use xplain_domains::te::{DemandPair, DemandPinning, TeDsl, TeLexSolver, TeProblem, Topology};
+use xplain_domains::te::{
+    DemandPair, DemandPinning, TeAllocation, TeDsl, TeLexSolver, TeLexSolverStack, TeProblem,
+    Topology,
+};
 use xplain_flownet::FlowNet;
 
 /// DSL mapper for Demand Pinning on a TE problem (Fig. 4a).
@@ -20,35 +23,52 @@ use xplain_flownet::FlowNet;
 /// Deliberately *cold per evaluation*, unlike [`DpOracle`]: the explainer
 /// fans `heuristic_flows`/`benchmark_flows` across sample threads, and a
 /// shared warm basis would make the returned *vertex* (the flow split
-/// among equally-optimal allocations) depend on thread scheduling —
-/// breaking the runtime's byte-for-byte determinism guarantee. Cold
-/// solves are vertex-deterministic per input and embarrassingly
-/// parallel. What the mapper does *not* pay is the per-call model build:
-/// it holds a prototype [`TeLexSolver`] (both lexicographic stage LPs
-/// standardized once) and takes a [`TeLexSolver::cold_clone`] — prepared
-/// rhs deltas, fresh sessions — for every evaluation. The clone's cold
-/// solves are byte-identical to building the model afresh (the prepared
-/// and model paths funnel into one solver entry point; pinned by
-/// `te_lex_solver_matches_model_path` and the replay suite).
+/// among equally-optimal allocations) depend on thread scheduling and
+/// call order — breaking the runtime's byte-for-byte determinism
+/// guarantee. Cold solves are vertex-deterministic per input and
+/// embarrassingly parallel. What the mapper does *not* pay is the
+/// per-call model build or any per-call allocation of solver state: it
+/// checks a prepared [`TeLexSolver`] (both lexicographic stage LPs
+/// standardized once) out of a [`TeLexSolverStack`], *resets* it — which
+/// drops the cached bases but keeps the solver workspaces — and solves.
+/// Each evaluation is cold because the checked-out solver is reset, so
+/// its output does not depend on which solver it drew or what that
+/// solver solved before. The cold solves are byte-identical to building
+/// the model afresh (the prepared and model paths funnel into one solver
+/// entry point; pinned by `te_lex_solver_matches_model_path`, the
+/// history-independence tests below and the replay suite).
 pub struct DpDslMapper {
     pub problem: TeProblem,
     pub heuristic: DemandPinning,
     pub dsl: TeDsl,
-    solver: TeLexSolver,
+    solvers: TeLexSolverStack,
 }
 
 impl DpDslMapper {
     pub fn new(problem: TeProblem, threshold: f64) -> Self {
         let dsl = TeDsl::build(&problem);
-        let solver = problem
-            .lex_solver()
+        let solvers = TeLexSolverStack::new(&problem)
             .expect("max-flow LP of a validated TeProblem is well-formed");
         DpDslMapper {
             heuristic: DemandPinning::new(threshold),
             problem,
             dsl,
-            solver,
+            solvers,
         }
+    }
+
+    /// Run `f` on a checked-out solver reset to cold.
+    fn with_cold_solver(
+        &self,
+        f: impl FnOnce(&mut TeLexSolver) -> Option<TeAllocation>,
+    ) -> Option<TeAllocation> {
+        self.solvers
+            .with(&self.problem, |solver| {
+                solver.reset();
+                f(solver)
+            })
+            .ok()
+            .flatten()
     }
 }
 
@@ -58,17 +78,14 @@ impl DslMapper for DpDslMapper {
     }
 
     fn heuristic_flows(&self, x: &[f64]) -> Option<Vec<f64>> {
-        let mut solver = self.solver.cold_clone();
-        let alloc = self
-            .heuristic
-            .solve_prepared(&self.problem, x, &mut solver)
-            .ok()?;
+        let alloc = self.with_cold_solver(|solver| {
+            self.heuristic.solve_prepared(&self.problem, x, solver).ok()
+        })?;
         Some(self.dsl.assignment(x, &alloc))
     }
 
     fn benchmark_flows(&self, x: &[f64]) -> Option<Vec<f64>> {
-        let mut solver = self.solver.cold_clone();
-        let alloc = solver.optimal(x).ok()?;
+        let alloc = self.with_cold_solver(|solver| solver.optimal(x).ok())?;
         Some(self.dsl.assignment(x, &alloc))
     }
 }
@@ -339,6 +356,92 @@ mod tests {
         // Both route the other demands on their single paths: score ~ 0.
         let d12 = find("1~2->1-2");
         assert!(d12.score.abs() < 0.2, "1~2 score {}", d12.score);
+    }
+
+    /// Points across the Fig. 1a input box: pinnable and not, ties at
+    /// the threshold, zeros, and demands past the link capacities.
+    fn history_points() -> Vec<Vec<f64>> {
+        let mut points = vec![
+            vec![50.0, 100.0, 100.0],
+            vec![0.0, 0.0, 0.0],
+            vec![100.0, 100.0, 100.0],
+            vec![49.5, 10.0, 90.0],
+            vec![51.0, 0.0, 100.0],
+        ];
+        let mut rng = StdRng::seed_from_u64(7);
+        for _ in 0..20 {
+            points.push((0..3).map(|_| rng.gen_range(0.0..=100.0)).collect());
+        }
+        points
+    }
+
+    fn assert_bits(a: &[f64], b: &[f64], what: &str) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(a), bits(b), "{what}: {a:?} vs {b:?}");
+    }
+
+    /// The mapper's flows are a function of the input alone: whatever
+    /// order the points come in and whichever thread asks (so whichever
+    /// reused solver it draws), they equal bit for bit the flows of the
+    /// model-building paths with fresh pools.
+    #[test]
+    fn dp_mapper_output_does_not_depend_on_call_history() {
+        let problem = TeProblem::fig1a();
+        let mapper = DpDslMapper::new(problem.clone(), 50.0);
+        let points = history_points();
+        let expected: Vec<(Vec<f64>, Vec<f64>)> = points
+            .iter()
+            .map(|x| {
+                let h = mapper.heuristic.solve(&problem, x).unwrap();
+                let b = problem.optimal(x).unwrap();
+                (mapper.dsl.assignment(x, &h), mapper.dsl.assignment(x, &b))
+            })
+            .collect();
+        let check = |ix: usize, what: &str| {
+            let x = &points[ix];
+            let (h, b) = &expected[ix];
+            assert_bits(&mapper.heuristic_flows(x).unwrap(), h, what);
+            assert_bits(&mapper.benchmark_flows(x).unwrap(), b, what);
+        };
+        for ix in 0..points.len() {
+            check(ix, "forward");
+        }
+        for ix in (0..points.len()).rev() {
+            check(ix, "reverse");
+        }
+        std::thread::scope(|scope| {
+            for tid in 0..2 {
+                let check = &check;
+                let n = points.len();
+                scope.spawn(move || {
+                    for k in 0..n {
+                        let ix = if tid == 0 { k } else { n - 1 - k };
+                        check(ix, "two threads");
+                    }
+                });
+            }
+        });
+    }
+
+    /// Two runs of a two-thread explainer over one mapper serialize to
+    /// the same bytes.
+    #[test]
+    fn dp_explanation_bytes_repeat_across_threaded_runs() {
+        let mapper = DpDslMapper::new(TeProblem::fig1a(), 50.0);
+        let sub = Subspace::from_rough_box(
+            vec![35.0, 85.0, 85.0],
+            vec![50.0, 100.0, 100.0],
+            vec![50.0, 100.0, 100.0],
+            100.0,
+        );
+        let params = ExplainerParams {
+            samples: 120,
+            threads: 2,
+            ..Default::default()
+        };
+        let first = serde_json::to_string(&explain(&mapper, &sub, &params, 9)).unwrap();
+        let second = serde_json::to_string(&explain(&mapper, &sub, &params, 9)).unwrap();
+        assert_eq!(first, second);
     }
 
     #[test]
