@@ -1,7 +1,8 @@
-//! Repair-loop timing benches: regression-bank content hashing and
-//! insert/dedupe, the replay gate's oracle recompute, and one full
-//! `--quick` tuning run — the costs `runner bank replay` and
-//! `runner tune` pay per entry and per generation.
+//! Repair-loop timing benches: regression-bank content hashing,
+//! insert/dedupe and cold vs. warm listing, the replay gate's oracle
+//! recompute, and one full `--quick` tuning run — the costs
+//! `runner bank replay` and `runner tune` pay per entry and per
+//! generation.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -104,7 +105,15 @@ fn bench_bank(c: &mut Criterion) {
             }
         });
     });
-    group.bench_function("entries_scan", |b| {
+    // A fresh handle per iteration: the full parse a restarted process
+    // pays on its first read.
+    group.bench_function("entries_cold", |b| {
+        b.iter(|| black_box(RegressionBank::new(&root).entries().len()));
+    });
+    // One handle, index warm: a directory listing, a stat per entry, and
+    // the deep copy `entries()` returns.
+    let _ = bank.entries();
+    group.bench_function("entries_warm", |b| {
         b.iter(|| black_box(bank.entries().len()));
     });
     group.finish();

@@ -12,18 +12,7 @@
 //! coordinating.
 
 use crate::membership::{PeerState, View};
-
-/// FNV-1a over bytes — stable, dependency-free, and good enough to
-/// decorrelate peer ids (the peer-id hash is mixed with the content key
-/// through [`splitmix64`], which does the heavy lifting).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+use xplain_runtime::fnv1a64;
 
 /// splitmix64 finalizer — full-period 64-bit mixer, so scores for
 /// distinct `(key, peer)` pairs are effectively independent.
@@ -34,9 +23,11 @@ pub fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// The rendezvous score of `peer_id` for `key`. Higher wins.
+/// The rendezvous score of `peer_id` for `key`. Higher wins. FNV-1a is
+/// only good enough to decorrelate peer ids; [`splitmix64`] does the
+/// heavy lifting.
 pub fn score(key: u64, peer_id: &str) -> u64 {
-    splitmix64(key ^ fnv1a(peer_id.as_bytes()))
+    splitmix64(key ^ fnv1a64(peer_id.as_bytes()))
 }
 
 /// Every peer in the view — healthy or not — in deterministic preference

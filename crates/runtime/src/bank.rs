@@ -20,18 +20,38 @@
 //!
 //! Storage is one JSON file per record under `<store>/bank/`, named by
 //! the FNV-1a64 of `domain + NUL + canonical instance JSON` — the same
-//! content-addressing discipline as the result store, with the same
-//! durable publish (temp → fsync → rename → fsync dir) and the same
+//! content-addressing discipline as the result store, and the same
 //! degrade-to-recompute philosophy: unreadable entries are skipped, a
 //! sweep ([`RegressionBank::sweep`]) drops entries no current code can
-//! interpret.
+//! interpret. Records are published durably *without replacement*
+//! (temp → fsync → hard link → fsync dir): the link fails atomically
+//! when the name exists, so of any number of concurrent inserts of one
+//! key — threads or processes — exactly one wins, and first write wins.
+//!
+//! **The index.** A bank handle keeps the parsed records in memory,
+//! keyed by entry key (so iteration is the canonical key order), and
+//! every clone of a handle shares that index — the result store owns one
+//! handle, so the executor's write-through, `GET /v1/regressions`, the
+//! tuner and the metrics all read the same copy. Each read
+//! ([`RegressionBank::records`], [`RegressionBank::entries`]) lists the
+//! directory once and stamps every `{16 hex}.json` entry with its
+//! `(length, mtime, inode)`; a file is parsed only when its key is new
+//! or its stamp changed, and a key is dropped as soon as its file is
+//! gone or no longer parses. The directory stays the source of truth:
+//! writes and sweeps by other handles or other processes (mesh shards
+//! sharing one store) show up on the next read. The cost is one parsed
+//! copy of the bank per index, held for the handle's lifetime — the same
+//! copy an uncached read would build from scratch on every call.
 
-use crate::store::{fnv1a64, fnv1a64_continue, publish_durable};
+use crate::store::{fnv1a64, fnv1a64_continue, publish_durable, publish_durable_new};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::SystemTime;
 use xplain_core::pipeline::SubspaceFinding;
 
 /// Version stamp of the serialized [`BankRecord`] layout. Entries bearing
@@ -116,17 +136,36 @@ struct ReplayMarker {
 /// Unique temp names for concurrent writers in one process.
 static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
-/// The on-disk bank: `<store dir>/bank/{key:016x}.json`.
+/// What an entry file looked like when it was parsed:
+/// `(length, mtime, inode)`. A changed stamp means a re-parse.
+type Stamp = (u64, Option<SystemTime>, u64);
+
+/// Parsed records by entry key, each with the stamp it was parsed at.
+type Index = BTreeMap<u64, (Stamp, Arc<BankRecord>)>;
+
+/// The on-disk bank: `<store dir>/bank/{key:016x}.json`, plus the
+/// in-memory index of its parsed records that clones share.
+#[derive(Clone)]
 pub struct RegressionBank {
     dir: PathBuf,
+    index: Arc<Mutex<Index>>,
+}
+
+impl std::fmt::Debug for RegressionBank {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RegressionBank")
+            .field("dir", &self.dir)
+            .finish_non_exhaustive()
+    }
 }
 
 impl RegressionBank {
-    /// Bank under the given *store* directory. Nothing is created until
-    /// the first insert.
+    /// Bank under the given *store* directory, with an empty index.
+    /// Nothing is created until the first insert.
     pub fn new(store_dir: impl AsRef<Path>) -> Self {
         RegressionBank {
             dir: store_dir.as_ref().join("bank"),
+            index: Arc::default(),
         }
     }
 
@@ -164,7 +203,8 @@ impl RegressionBank {
     /// Insert a record, deduplicating by content key. Returns `true` if
     /// the record was written, `false` if an entry with the same key
     /// already existed (append-only: first write wins, so recorded gaps
-    /// are never silently rewritten).
+    /// are never silently rewritten — also under concurrent inserts,
+    /// which the no-replace publish resolves to exactly one `true`).
     pub fn insert(&self, record: &BankRecord) -> io::Result<bool> {
         let key = Self::key(&record.domain, &record.instance);
         let final_path = self.entry_path(key);
@@ -179,8 +219,7 @@ impl RegressionBank {
             std::process::id(),
             TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
         ));
-        publish_durable(&self.dir, &tmp, &final_path, bytes.as_bytes())?;
-        Ok(true)
+        publish_durable_new(&self.dir, &tmp, &final_path, bytes.as_bytes())
     }
 
     /// Fetch one record by key. `None` for missing or unreadable entries
@@ -192,15 +231,52 @@ impl RegressionBank {
 
     /// All parseable records, sorted by key — the canonical iteration
     /// order every consumer (replay, tuner, HTTP listing) shares, so
-    /// results never depend on directory enumeration order.
+    /// results never depend on directory enumeration order. Shares the
+    /// index's parsed records instead of copying them.
+    pub fn records(&self) -> Vec<(u64, Arc<BankRecord>)> {
+        // A panicked holder cannot leave the index invalid: every entry
+        // pairs a record with the stamp it was parsed at, and the next
+        // refresh re-checks all of them against the directory.
+        let mut index = self.index.lock().unwrap_or_else(|e| e.into_inner());
+        self.refresh(&mut index);
+        index
+            .iter()
+            .map(|(key, (_, record))| (*key, Arc::clone(record)))
+            .collect()
+    }
+
+    /// [`RegressionBank::records`], deep-copied.
     pub fn entries(&self) -> Vec<(u64, BankRecord)> {
-        let mut out: Vec<(u64, BankRecord)> = self
-            .keys_on_disk()
+        self.records()
             .into_iter()
-            .filter_map(|key| self.get(key).map(|r| (key, r)))
-            .collect();
-        out.sort_by_key(|(k, _)| *k);
-        out
+            .map(|(key, record)| (key, BankRecord::clone(&record)))
+            .collect()
+    }
+
+    /// Bring the index in line with the directory: one listing, a parse
+    /// only for new or re-stamped files, and removal of every key whose
+    /// file is gone or no longer parses.
+    fn refresh(&self, index: &mut Index) {
+        let mut listed: BTreeMap<u64, Stamp> = BTreeMap::new();
+        if let Ok(read) = fs::read_dir(&self.dir) {
+            for entry in read.filter_map(|e| e.ok()) {
+                let Some(key) = Self::entry_key(&entry.path()) else {
+                    continue;
+                };
+                if let Ok(meta) = entry.metadata() {
+                    listed.insert(key, (meta.len(), meta.modified().ok(), inode(&meta)));
+                }
+            }
+        }
+        index.retain(|key, (stamp, _)| listed.get(key) == Some(stamp));
+        for (key, stamp) in listed {
+            if index.contains_key(&key) {
+                continue;
+            }
+            if let Some(record) = self.get(key) {
+                index.insert(key, (stamp, Arc::new(record)));
+            }
+        }
     }
 
     /// Number of entry files (parseable or not).
@@ -294,15 +370,27 @@ impl RegressionBank {
             return Vec::new();
         };
         read.filter_map(|e| e.ok())
-            .filter_map(|e| {
-                let path = e.path();
-                if path.extension().is_none_or(|x| x != "json") {
-                    return None;
-                }
-                Self::parse_id(path.file_stem()?.to_str()?)
-            })
+            .filter_map(|e| Self::entry_key(&e.path()))
             .collect()
     }
+
+    /// The key an entry file is named by, if `path` is `{16 hex}.json`.
+    fn entry_key(path: &Path) -> Option<u64> {
+        if path.extension().is_none_or(|x| x != "json") {
+            return None;
+        }
+        Self::parse_id(path.file_stem()?.to_str()?)
+    }
+}
+
+#[cfg(unix)]
+fn inode(meta: &fs::Metadata) -> u64 {
+    std::os::unix::fs::MetadataExt::ino(meta)
+}
+
+#[cfg(not(unix))]
+fn inode(_meta: &fs::Metadata) -> u64 {
+    0
 }
 
 #[cfg(test)]
@@ -358,6 +446,42 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_inserts_of_one_key_have_exactly_one_winner() {
+        const WRITERS: usize = 8;
+        for trial in 0..20 {
+            let root = scratch_dir("race");
+            let barrier = std::sync::Barrier::new(WRITERS);
+            let outcomes: Vec<(String, bool)> = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..WRITERS)
+                    .map(|w| {
+                        let (root, barrier) = (&root, &barrier);
+                        s.spawn(move || {
+                            let mut rec = record("dp", vec![trial as f64, 1.0, 2.0], 5.0);
+                            rec.job_key = format!("{w:016x}");
+                            let bank = RegressionBank::new(root);
+                            barrier.wait();
+                            (rec.job_key.clone(), bank.insert(&rec).unwrap())
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            let winners: Vec<&String> = outcomes
+                .iter()
+                .filter(|(_, won)| *won)
+                .map(|(job_key, _)| job_key)
+                .collect();
+            assert_eq!(winners.len(), 1, "trial {trial}: winners {winners:?}");
+            let key = RegressionBank::key("dp", &[trial as f64, 1.0, 2.0]);
+            let on_disk = RegressionBank::new(&root)
+                .get(key)
+                .expect("winner published");
+            assert_eq!(&on_disk.job_key, winners[0], "trial {trial}");
+            let _ = fs::remove_dir_all(&root);
+        }
+    }
+
+    #[test]
     fn key_ignores_provenance_and_finding() {
         let a = record("dp", vec![1.0, 2.0], 3.0);
         let mut b = a.clone();
@@ -401,6 +525,78 @@ mod tests {
         let mut sorted = keys.clone();
         sorted.sort_unstable();
         assert_eq!(keys, sorted);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// Keys and record bytes of a listing, for byte-level comparison.
+    fn snapshot(entries: &[(u64, BankRecord)]) -> Vec<(u64, String)> {
+        entries
+            .iter()
+            .map(|(key, r)| (*key, serde_json::to_string(r).unwrap()))
+            .collect()
+    }
+
+    /// A warm handle must list exactly what a fresh handle parses from
+    /// disk, whatever other handles (or processes) did in between.
+    fn assert_matches_fresh(warm: &RegressionBank, root: &Path, step: &str) {
+        let fresh = RegressionBank::new(root).entries();
+        assert_eq!(snapshot(&warm.entries()), snapshot(&fresh), "after {step}");
+        let keys: Vec<u64> = warm.records().iter().map(|(k, _)| *k).collect();
+        assert!(
+            keys.windows(2).all(|w| w[0] < w[1]),
+            "after {step}: keys not strictly ascending"
+        );
+    }
+
+    #[test]
+    fn warm_index_matches_a_fresh_parse_after_outside_changes() {
+        let root = scratch_dir("index");
+        let warm = RegressionBank::new(&root);
+        let other = RegressionBank::new(&root);
+        for i in 0..4 {
+            other
+                .insert(&record("dp", vec![i as f64, 3.0], 2.0))
+                .unwrap();
+        }
+        assert_eq!(warm.entries().len(), 4);
+        let before = warm.records();
+        let again = warm.records();
+        assert!(
+            before
+                .iter()
+                .zip(&again)
+                .all(|(a, b)| Arc::ptr_eq(&a.1, &b.1)),
+            "unchanged files must not be re-parsed"
+        );
+
+        other.insert(&record("dp", vec![9.0, 3.0], 2.0)).unwrap();
+        other.insert(&record("retired", vec![1.0], 2.0)).unwrap();
+        assert_matches_fresh(&warm, &root, "an insert through another handle");
+        assert_eq!(warm.entries().len(), 6);
+
+        let swept = other.sweep(&["dp".to_string()]);
+        assert_eq!(swept.entries_removed, 1);
+        assert_matches_fresh(&warm, &root, "a sweep through another handle");
+        assert_eq!(warm.entries().len(), 5);
+
+        let target = RegressionBank::key("dp", &[1.0, 3.0]);
+        let path = warm.entry_path(target);
+        let mut replaced = record("dp", vec![1.0, 3.0], 2.0);
+        replaced.job_key = "replacement-with-a-longer-job-key".into();
+        fs::write(&path, serde_json::to_string(&replaced).unwrap()).unwrap();
+        assert_matches_fresh(&warm, &root, "an in-place replacement");
+        let listed = warm.entries();
+        let (_, now) = listed.iter().find(|(k, _)| *k == target).unwrap();
+        assert_eq!(now.job_key, replaced.job_key);
+
+        fs::write(&path, "{\"schema_version\": 1, \"dom").unwrap();
+        assert_matches_fresh(&warm, &root, "a truncation to garbage");
+        assert!(warm.records().iter().all(|(k, _)| *k != target));
+        assert_eq!(warm.len(), 5, "the garbage file is still an entry file");
+
+        fs::remove_file(warm.entry_path(RegressionBank::key("dp", &[0.0, 3.0]))).unwrap();
+        assert_matches_fresh(&warm, &root, "a deletion");
+        assert_eq!(warm.entries().len(), 3);
         let _ = fs::remove_dir_all(&root);
     }
 

@@ -67,7 +67,7 @@ pub use queue::{
     Disposition, EventsChunk, JobPhase, JobQueue, JobView, PendingJob, QueueCounters, QueueFull,
     QueueOptions, Submitted, TenantCounters, TenantRejection,
 };
-pub use store::{GcReport, ResultStore, STALE_TMP_MAX_AGE};
+pub use store::{fnv1a64, GcReport, ResultStore, STALE_TMP_MAX_AGE};
 pub use tenant::{DrrScheduler, Tenant, TenantQuota, TenantRegistry, TokenBucket};
 pub use watch::{watch_line, WatchLine};
 // The session vocabulary travels with the runtime so callers need not

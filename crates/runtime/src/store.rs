@@ -57,6 +57,9 @@ struct CheckpointEntry {
 #[derive(Debug, Clone)]
 pub struct ResultStore {
     dir: PathBuf,
+    /// The bank under `dir`, whose parsed-record index every
+    /// [`ResultStore::bank`] handle (and every clone of this store) shares.
+    bank: crate::bank::RegressionBank,
 }
 
 /// What [`ResultStore::gc`] reclaimed.
@@ -99,7 +102,9 @@ static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 impl ResultStore {
     pub fn new(dir: impl Into<PathBuf>) -> Self {
-        ResultStore { dir: dir.into() }
+        let dir = dir.into();
+        let bank = crate::bank::RegressionBank::new(&dir);
+        ResultStore { dir, bank }
     }
 
     pub fn dir(&self) -> &Path {
@@ -107,9 +112,10 @@ impl ResultStore {
     }
 
     /// The regression bank living under this store
-    /// (`<dir>/bank/` — see [`crate::bank`]).
+    /// (`<dir>/bank/` — see [`crate::bank`]). Every handle returned here
+    /// shares one index of parsed records.
     pub fn bank(&self) -> crate::bank::RegressionBank {
-        crate::bank::RegressionBank::new(&self.dir)
+        self.bank.clone()
     }
 
     /// The content-addressed key of a job.
@@ -351,13 +357,41 @@ pub(crate) fn publish_durable(
     final_path: &Path,
     bytes: &[u8],
 ) -> io::Result<()> {
-    let mut file = File::create(tmp)?;
-    file.write_all(bytes)?;
-    file.sync_all()?;
-    drop(file);
+    write_synced(tmp, bytes)?;
     fs::rename(tmp, final_path)?;
     fsync_dir(dir);
     Ok(())
+}
+
+/// [`publish_durable`] that never replaces: the fsynced temp file is
+/// hard-linked to `final_path`, which fails atomically if that name
+/// already exists. Returns `Ok(false)` (and leaves the existing file
+/// alone) when another writer — any thread or process — got there
+/// first, so concurrent publishers of one name have exactly one winner.
+pub(crate) fn publish_durable_new(
+    dir: &Path,
+    tmp: &Path,
+    final_path: &Path,
+    bytes: &[u8],
+) -> io::Result<bool> {
+    write_synced(tmp, bytes)?;
+    let linked = fs::hard_link(tmp, final_path);
+    let _ = fs::remove_file(tmp);
+    match linked {
+        Ok(()) => {
+            fsync_dir(dir);
+            Ok(true)
+        }
+        Err(e) if e.kind() == io::ErrorKind::AlreadyExists => Ok(false),
+        Err(e) => Err(e),
+    }
+}
+
+/// Create `path` holding exactly `bytes`, synced to disk.
+fn write_synced(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let mut file = File::create(path)?;
+    file.write_all(bytes)?;
+    file.sync_all()
 }
 
 /// Best-effort fsync of a directory (makes a rename or file creation in
@@ -370,7 +404,10 @@ pub(crate) fn fsync_dir(dir: &Path) {
     }
 }
 
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
+/// FNV-1a (64-bit) over `bytes` — the workspace's one stable,
+/// dependency-free content hash (store and bank keys, journal checksums,
+/// tenant ids, mesh placement).
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
     fnv1a64_continue(0xcbf29ce484222325, bytes)
 }
 

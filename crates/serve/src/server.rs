@@ -29,8 +29,8 @@ use std::time::{Duration, Instant};
 
 use serde::Serialize;
 use xplain_runtime::{
-    DomainRegistry, JobJournal, JobOutcome, JobPhase, JobQueue, JobSpec, QueueFull, QueueOptions,
-    RegressionBank, ResultStore, TenantRegistry,
+    BankRecord, DomainRegistry, JobJournal, JobOutcome, JobPhase, JobQueue, JobSpec, QueueFull,
+    QueueOptions, RegressionBank, ResultStore, TenantRegistry,
 };
 use xplain_tune::{generation_line, report_line, tune_with, TuneOptions};
 
@@ -766,18 +766,18 @@ fn regressions(ctx: &Ctx<'_>, request: &Request) -> Response {
         Ok(v) => v,
         Err(r) => return *r,
     };
-    let all = store.bank().entries();
+    let all = store.bank().records();
     let total = all.len();
     let entries: Vec<RegressionEntryBody> = all
-        .into_iter()
+        .iter()
         .skip(offset)
         .take(limit)
         .map(|(key, r)| RegressionEntryBody {
-            id: RegressionBank::format_id(key),
-            domain: r.domain,
+            id: RegressionBank::format_id(*key),
+            domain: r.domain.clone(),
             gap: r.gap,
-            instance: r.instance,
-            job_key: r.job_key,
+            instance: r.instance.clone(),
+            job_key: r.job_key.clone(),
             session_seed: r.session_seed,
         })
         .collect();
@@ -894,7 +894,15 @@ fn handle_tune(stream: &mut TcpStream, ctx: &Ctx<'_>, request: &Request, tenant:
     }
     opts.workers = req.workers.unwrap_or(1).clamp(1, 8);
 
-    let records = store.bank().entries();
+    // Only this domain's records are copied out of the shared index;
+    // `tune_with` ignores every other domain's anyway.
+    let records: Vec<(u64, BankRecord)> = store
+        .bank()
+        .records()
+        .into_iter()
+        .filter(|(_, r)| r.domain == domain.id())
+        .map(|(key, r)| (key, BankRecord::clone(&r)))
+        .collect();
     // The chunked 200 head goes out lazily, right before the first
     // generation line — so pre-stream failures (untunable domain, empty
     // corpus) still get a proper JSON error status.

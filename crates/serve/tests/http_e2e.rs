@@ -14,6 +14,9 @@
 //! 3. **admission control** — a full queue answers 429 + `Retry-After`.
 //! 4. **graceful shutdown** — in-flight sessions checkpoint; a *new*
 //!    server over the same store resumes them.
+//! 5. **bank freshness** — records written or swept behind the server's
+//!    back (another process on the same store, e.g. a mesh shard) show
+//!    up on the very next `GET /v1/regressions` page.
 //!
 //! Solver counters are process-global, and terminal watch lines embed
 //! each job's counter delta — so tests that compare terminal lines must
@@ -24,12 +27,12 @@ use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
-use xplain_core::pipeline::PipelineConfig;
-use xplain_core::subspace::SubspaceParams;
+use xplain_core::pipeline::{PipelineConfig, SubspaceFinding, Witness};
+use xplain_core::subspace::{Subspace, SubspaceParams};
 use xplain_core::{ExplainerParams, SignificanceParams};
 use xplain_runtime::{
-    run_manifest_opts, watch_line, DomainRegistry, JobOutcome, JobSpec, RunOptions, SessionBudgets,
-    SessionEvent, WatchLine,
+    run_manifest_opts, watch_line, BankRecord, DomainRegistry, JobOutcome, JobSpec, RegressionBank,
+    RunOptions, SessionBudgets, SessionEvent, WatchLine,
 };
 use xplain_serve::{Client, Server, ServerConfig, ServerHandle};
 
@@ -507,6 +510,85 @@ fn shutdown_checkpoints_inflight_and_next_server_resumes() {
     let mut concatenated = first_segment;
     concatenated.extend(second_segment);
     assert_streams_equal(&concatenated, &reference, "restart concatenation");
+
+    handle.shutdown();
+    join.join().unwrap();
+    let _ = std::fs::remove_dir_all(&store_dir);
+}
+
+#[derive(serde::Deserialize)]
+struct RegressionsPage {
+    total: usize,
+    entries: Vec<RegressionEntry>,
+}
+
+#[derive(serde::Deserialize)]
+struct RegressionEntry {
+    id: String,
+    job_key: String,
+}
+
+/// A banked record for `domain` at `instance`, as a session would write it.
+fn bank_record(domain: &str, instance: Vec<f64>, job_key: &str) -> BankRecord {
+    let lo: Vec<f64> = instance.iter().map(|v| v - 1.0).collect();
+    let hi: Vec<f64> = instance.iter().map(|v| v + 1.0).collect();
+    let finding = SubspaceFinding {
+        subspace: Subspace::from_rough_box(lo, hi, instance.clone(), 5.0),
+        significance: None,
+        explanation: None,
+        witness: Some(Witness {
+            input: instance,
+            gap: 5.0,
+        }),
+    };
+    BankRecord::from_finding(domain, &finding, job_key, 1).expect("positive-gap witness banks")
+}
+
+fn regressions_page(api: &Client) -> RegressionsPage {
+    let resp = api.get("/v1/regressions").unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    serde_json::from_str(&resp.body).unwrap()
+}
+
+/// Property 5: the server's bank index never serves a stale page —
+/// inserts and sweeps through a separate bank handle on the same store
+/// directory (what a second mesh shard does) show up on the next read.
+#[test]
+fn regressions_page_sees_writes_and_sweeps_behind_the_servers_back() {
+    let store_dir = scratch_dir("bank-freshness");
+    let (handle, join) = start_server(Some(store_dir.clone()), 1, 16);
+    let api = client(&handle);
+    let outside = RegressionBank::new(&store_dir);
+
+    assert_eq!(regressions_page(&api).total, 0);
+    outside
+        .insert(&bank_record(
+            "dp",
+            vec![50.0, 100.0, 100.0],
+            "00000000000000a1",
+        ))
+        .unwrap();
+    let page = regressions_page(&api);
+    assert_eq!(page.total, 1);
+
+    let retired = bank_record("retired-domain", vec![1.0, 2.0], "00000000000000b2");
+    outside.insert(&retired).unwrap();
+    let retired_id =
+        RegressionBank::format_id(RegressionBank::key(&retired.domain, &retired.instance));
+    let page = regressions_page(&api);
+    assert_eq!(page.total, 2);
+    let listed = page
+        .entries
+        .iter()
+        .find(|e| e.id == retired_id)
+        .expect("the outside insert is listed");
+    assert_eq!(listed.job_key, "00000000000000b2");
+
+    let swept = outside.sweep(&DomainRegistry::builtin().ids());
+    assert_eq!(swept.entries_removed, 1);
+    let page = regressions_page(&api);
+    assert_eq!(page.total, 1);
+    assert!(page.entries.iter().all(|e| e.id != retired_id));
 
     handle.shutdown();
     join.join().unwrap();
