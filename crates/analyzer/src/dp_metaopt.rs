@@ -23,7 +23,7 @@ use crate::geometry::Polytope;
 use crate::helpers::{indicator_leq, GadgetParams};
 use crate::search::Adversarial;
 use xplain_domains::te::{DemandPinning, TeProblem};
-use xplain_lp::{milp, Cmp, LinExpr, LpError, Model, Sense, SessionPool, VarId, VarType};
+use xplain_lp::{milp, Cmp, LinExpr, LpError, Model, Sense, VarId, VarType};
 
 /// Exact DP analyzer configuration.
 #[derive(Debug, Clone)]
@@ -237,21 +237,8 @@ impl DpMetaOpt {
 
     /// Solve for the adversarial demand vector.
     pub fn find_adversarial(&self, exclusions: &[Polytope]) -> Result<Adversarial, LpError> {
-        let mut pool = SessionPool::new();
-        self.find_adversarial_pooled(exclusions, &mut pool)
-    }
-
-    /// [`DpMetaOpt::find_adversarial`] through a caller-owned session
-    /// pool: the iterate-and-exclude loop re-solves near-identical MILPs
-    /// (each exclusion adds rows), and within one exclusion count every
-    /// branch-and-bound node shares the pooled warm basis.
-    pub fn find_adversarial_pooled(
-        &self,
-        exclusions: &[Polytope],
-        pool: &mut SessionPool,
-    ) -> Result<Adversarial, LpError> {
         let built = self.build_model(exclusions);
-        let (sol, _stats) = milp::solve_pooled(&built.model, pool)?;
+        let sol = milp::solve(&built.model)?;
         let input: Vec<f64> = built.demand_vars.iter().map(|&v| sol.value(v)).collect();
         Ok(Adversarial {
             gap: sol.objective,

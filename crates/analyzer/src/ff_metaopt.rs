@@ -18,7 +18,7 @@ use crate::geometry::Polytope;
 use crate::helpers::{all_eq, all_leq, and, if_then_else, GadgetParams};
 use crate::search::Adversarial;
 use xplain_domains::vbp::{first_fit, optimal, VbpInstance};
-use xplain_lp::{milp, Cmp, LinExpr, LpError, Model, Sense, SessionPool, VarId, VarType};
+use xplain_lp::{milp, Cmp, LinExpr, LpError, Model, Sense, VarId, VarType};
 
 /// Exact FF analyzer configuration.
 #[derive(Debug, Clone)]
@@ -244,19 +244,8 @@ impl FfMetaOpt {
 
     /// Solve for the adversarial ball sizes.
     pub fn find_adversarial(&self, exclusions: &[Polytope]) -> Result<Adversarial, LpError> {
-        let mut pool = SessionPool::new();
-        self.find_adversarial_pooled(exclusions, &mut pool)
-    }
-
-    /// [`FfMetaOpt::find_adversarial`] through a caller-owned session
-    /// pool (see [`crate::DpMetaOpt::find_adversarial_pooled`]).
-    pub fn find_adversarial_pooled(
-        &self,
-        exclusions: &[Polytope],
-        pool: &mut SessionPool,
-    ) -> Result<Adversarial, LpError> {
         let built = self.build_model(exclusions);
-        let (sol, _stats) = milp::solve_pooled(&built.model, pool)?;
+        let sol = milp::solve(&built.model)?;
         let input: Vec<f64> = built.size_vars.iter().map(|&v| sol.value(v)).collect();
         Ok(Adversarial {
             gap: sol.objective,

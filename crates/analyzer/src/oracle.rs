@@ -53,7 +53,10 @@ impl<T: GapOracle + ?Sized> GapOracle for &T {
     }
 }
 
-/// Demand Pinning gap oracle: input = demand volumes, gap = OPT − DP.
+/// Demand Pinning gap oracle: input = demand volumes, gap = OPT − DP as
+/// [`DemandPinning::gap_with`] defines it — the same value the one-shot
+/// [`DemandPinning::gap`], the instance family's observations, the
+/// adversarial witnesses and the bank replay report.
 ///
 /// Every evaluation solves two max-flow LPs over the *same* problem
 /// structure (the benchmark total and the heuristic's phase-2 residual
@@ -64,9 +67,10 @@ impl<T: GapOracle + ?Sized> GapOracle for &T {
 /// them through rhs deltas on warm bases — no per-evaluation model
 /// build. Solvers live in a [`TeLexSolverStack`], so the explainer's
 /// sample threads each hold one for the duration of an evaluation and
-/// the stack stays warm from then on. Solutions are exact regardless of
-/// which solver a call draws, so contention only costs time, never
-/// determinism.
+/// the stack stays warm from then on. A warm solve's total is summed at
+/// whichever optimal vertex it lands on, so a gap's trailing bits can
+/// depend on the drawn solver's history; only cold solvers (a fresh
+/// oracle, or the one-shot [`DemandPinning::gap`]) agree bit for bit.
 pub struct DpOracle {
     pub problem: TeProblem,
     pub heuristic: DemandPinning,
@@ -104,7 +108,7 @@ impl GapOracle for DpOracle {
     fn gap(&self, x: &[f64]) -> f64 {
         self.solvers
             .with(&self.problem, |solver| {
-                self.heuristic.gap_prepared(&self.problem, x, solver)
+                self.heuristic.gap_with(&self.problem, x, solver)
             })
             .ok()
             .and_then(Result::ok)

@@ -9,7 +9,7 @@
 
 use xplain_analyzer::{DpMetaOpt, FfMetaOpt};
 use xplain_domains::te::TeProblem;
-use xplain_lp::{milp, SessionPool};
+use xplain_lp::milp;
 
 #[test]
 fn ff_sec2_encoding_nodes_pinned() {
@@ -31,18 +31,6 @@ fn dp_fig1a_encoding_nodes_pinned() {
     let (sol, stats) = milp::solve_with(&built.model, milp::Backend::Revised).expect("solvable");
     assert!((sol.objective - 100.0).abs() < 1.0, "{}", sol.objective);
     assert_eq!(stats.nodes, PIN_DP_FIG1A, "node count drifted: {stats:?}");
-}
-
-#[test]
-fn pooled_iterate_and_exclude_matches_unpooled() {
-    // The session-reuse path must not change what the analyzer finds.
-    let analyzer = FfMetaOpt::sec2();
-    let mut pool = SessionPool::new();
-    let pooled = analyzer.find_adversarial_pooled(&[], &mut pool).unwrap();
-    let plain = analyzer.find_adversarial(&[]).unwrap();
-    assert!((pooled.gap - plain.gap).abs() < 1e-6);
-    assert_eq!(pooled.input, plain.input);
-    assert!(pool.stats().solves > 0);
 }
 
 // Recorded from the revised-solver branch-and-bound; re-pinned when the

@@ -6,8 +6,9 @@
 //! Workloads:
 //! * **LP sweep** — the fig4a benchmark max-flow solved over a grid of
 //!   demand vectors, five ways: reference (cold tableau), revised cold,
-//!   revised through one warm `SessionPool` (the gap-oracle pattern),
-//!   prepared rhs-delta re-solves, and one batched probe re-solve.
+//!   revised with a per-point model build through one warm
+//!   `SolverSession`, prepared rhs-delta re-solves, and one batched probe
+//!   re-solve.
 //! * **B&B workloads** — the sched assignment MILP on the Graham-tight
 //!   family and the §2 FF MetaOpt encoding, solved with the warm-started
 //!   revised backend vs the cold reference backend.
@@ -22,7 +23,7 @@ use serde::{Deserialize, Serialize};
 use std::time::Instant;
 use xplain_domains::sched::SchedInstance;
 use xplain_domains::te::TeProblem;
-use xplain_lp::{milp, simplex, Model, Prepared, Probe, SessionPool, SolverSession};
+use xplain_lp::{milp, simplex, Model, Prepared, Probe, SolverSession};
 
 /// Schema marker for the emitted file.
 pub const SCHEMA: &str = "xplain-bench-6/v1";
@@ -33,11 +34,11 @@ pub struct LpSweepReport {
     pub solves: usize,
     pub reference_us_per_solve: f64,
     pub revised_cold_us_per_solve: f64,
-    /// Per-point model build + pooled warm session — the pre-fix analyzer
-    /// pattern (what BENCH_3 called the warm sweep). On these small LPs
-    /// the per-point `max_flow_model` + standardization costs more than
-    /// the reference's entire solve, which is exactly why the product no
-    /// longer does it; kept as trajectory data.
+    /// Per-point model build + one warm `SolverSession` — the pre-fix
+    /// analyzer pattern (what BENCH_3 called the warm sweep). On these
+    /// small LPs the per-point `max_flow_model` + standardization costs
+    /// more than the reference's entire solve, which is exactly why the
+    /// product no longer does it; kept as trajectory data.
     pub revised_rebuild_us_per_solve: f64,
     /// Warm re-solves through a `Prepared` LP: rhs deltas only, no
     /// per-point model build (the `TeLexSolver` / oracle hot path).
@@ -149,12 +150,12 @@ fn lp_sweep(repeats: usize, points: usize) -> LpSweepReport {
     });
     let mut warm_hits = 0u64;
     let warm_s = time_median(repeats, || {
-        let mut pool = SessionPool::new();
+        let mut session = SolverSession::new();
         for v in &grid {
             let m = problem.max_flow_model(v, None, &[]);
-            pool.solve(&m).expect("feasible max-flow");
+            session.solve(&m).expect("feasible max-flow");
         }
-        warm_hits = pool.stats().warm_hits;
+        warm_hits = session.stats.warm_hits;
     });
 
     // Prepared re-solves: standardize once, per point only rewrite the

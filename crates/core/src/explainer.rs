@@ -8,9 +8,11 @@
 //! 'heatmap' of the differences … shows how inputs in the subspace
 //! interfere with the heuristic."
 //!
-//! Sampling is fanned out over `std::thread::scope` workers — evaluating
-//! a sample means running both the heuristic and an exact benchmark,
-//! which is pure CPU work.
+//! Sampling is split into a fixed number of seeded streams, fanned out
+//! over `std::thread::scope` workers — evaluating a sample means running
+//! both the heuristic and an exact benchmark, which is pure CPU work. The
+//! stream count comes from [`ExplainerParams`], never from the host, so a
+//! heat-map is a function of its inputs alone.
 
 use crate::subspace::Subspace;
 use rand::rngs::StdRng;
@@ -109,9 +111,17 @@ pub struct ExplainerParams {
     pub samples: usize,
     /// Flow below this is "not using the edge".
     pub flow_tol: f64,
-    /// Worker threads (0 = auto).
+    /// Sample streams (0 = [`DEFAULT_STREAMS`]). Stream `s` draws
+    /// `samples / threads` (rounded up) points from its own RNG, seeded
+    /// from the seed and `s`, into its own accumulator, and accumulators
+    /// merge in stream order. The result depends on this value, never on
+    /// the host: OS threads — at most `min(streams, available cores)` —
+    /// only divide the streams among them.
     pub threads: usize,
 }
+
+/// The stream count when [`ExplainerParams::threads`] is 0.
+pub const DEFAULT_STREAMS: usize = 2;
 
 impl Default for ExplainerParams {
     fn default() -> Self {
@@ -130,16 +140,25 @@ pub fn explain(
     params: &ExplainerParams,
     seed: u64,
 ) -> Explanation {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    explain_on(mapper, subspace, params, seed, cores)
+}
+
+/// [`explain`] on at most `os_threads` OS threads.
+fn explain_on(
+    mapper: &dyn DslMapper,
+    subspace: &Subspace,
+    params: &ExplainerParams,
+    seed: u64,
+    os_threads: usize,
+) -> Explanation {
     let n_edges = mapper.net().num_edges();
-    let threads = if params.threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(8)
+    let streams = if params.threads == 0 {
+        DEFAULT_STREAMS
     } else {
         params.threads
     };
-    let per_thread = params.samples.div_ceil(threads);
+    let per_stream = params.samples.div_ceil(streams);
 
     struct Acc {
         score_sum: Vec<f64>,
@@ -150,8 +169,8 @@ pub fn explain(
         samples: usize,
     }
 
-    let accumulate = |tid: usize| -> Acc {
-        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(tid as u64 * 0x9E3779B9));
+    let accumulate = |stream: usize| -> Acc {
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(stream as u64 * 0x9E3779B9));
         let mut acc = Acc {
             score_sum: vec![0.0; n_edges],
             h_used: vec![0; n_edges],
@@ -166,7 +185,7 @@ pub fn explain(
         let mut produced = 0usize;
         let mut attempts = 0usize;
         let mut x: Vec<f64> = Vec::with_capacity(dims);
-        while produced < per_thread && attempts < per_thread * 40 {
+        while produced < per_stream && attempts < per_stream * 40 {
             attempts += 1;
             x.clear();
             x.extend((0..dims).map(|d| rng.gen_range(lo[d]..=hi[d])));
@@ -200,16 +219,23 @@ pub fn explain(
         acc
     };
 
-    let accs: Vec<Acc> = if threads <= 1 {
-        vec![accumulate(0)]
+    // Each OS thread takes a contiguous run of streams; joining in order
+    // keeps the accumulators in stream order.
+    let chunk = streams.div_ceil(os_threads.max(1));
+    let accs: Vec<Acc> = if chunk >= streams {
+        (0..streams).map(accumulate).collect()
     } else {
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|tid| scope.spawn(move || accumulate(tid)))
+            let handles: Vec<_> = (0..streams)
+                .step_by(chunk)
+                .map(|first| {
+                    let last = (first + chunk).min(streams);
+                    scope.spawn(move || (first..last).map(accumulate).collect::<Vec<_>>())
+                })
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("explainer worker panicked"))
+                .flat_map(|h| h.join().expect("explainer worker panicked"))
                 .collect()
         })
     };
@@ -371,6 +397,58 @@ mod tests {
         for (ea, eb) in a.edges.iter().zip(&b.edges) {
             assert_eq!(ea.score, eb.score);
         }
+    }
+
+    /// A heat-map is a function of its params and seed alone: the same
+    /// streams on 1, 2 or 3 OS threads give bit-identical explanations,
+    /// and `threads: 0` means [`DEFAULT_STREAMS`] streams.
+    #[test]
+    fn explanation_does_not_depend_on_os_threads() {
+        let mapper = TestMapper::new();
+        let sub = Subspace::from_rough_box(vec![0.3], vec![0.9], vec![0.6], 1.0);
+        let bits = |ex: &Explanation| -> Vec<u64> {
+            ex.edges
+                .iter()
+                .flat_map(|e| {
+                    [
+                        e.score,
+                        e.heuristic_frac,
+                        e.benchmark_frac,
+                        e.heuristic_mean_flow,
+                        e.benchmark_mean_flow,
+                        e.mean_flow_delta,
+                    ]
+                })
+                .map(f64::to_bits)
+                .chain([ex.samples_used as u64])
+                .collect()
+        };
+        for threads in [0, 3, 5] {
+            let params = ExplainerParams {
+                samples: 100,
+                threads,
+                ..Default::default()
+            };
+            let one = bits(&explain_on(&mapper, &sub, &params, 7, 1));
+            for os_threads in [2, 3] {
+                let many = bits(&explain_on(&mapper, &sub, &params, 7, os_threads));
+                assert_eq!(many, one, "threads {threads}, {os_threads} OS threads");
+            }
+            assert_eq!(bits(&explain(&mapper, &sub, &params, 7)), one);
+        }
+        let auto = ExplainerParams {
+            samples: 100,
+            threads: 0,
+            ..Default::default()
+        };
+        let two = ExplainerParams {
+            threads: DEFAULT_STREAMS,
+            ..auto.clone()
+        };
+        assert_eq!(
+            bits(&explain_on(&mapper, &sub, &auto, 7, 1)),
+            bits(&explain_on(&mapper, &sub, &two, 7, 2))
+        );
     }
 
     #[test]

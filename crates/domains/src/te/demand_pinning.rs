@@ -9,7 +9,7 @@
 
 use crate::te::problem::{TeAllocation, TeLexSolver, TeProblem};
 use serde::{Deserialize, Serialize};
-use xplain_lp::{LpError, SessionPool};
+use xplain_lp::LpError;
 
 /// What to do when a pinned demand exceeds the residual capacity of its
 /// shortest path.
@@ -53,34 +53,19 @@ impl DemandPinning {
         volumes.iter().map(|&d| d <= self.threshold).collect()
     }
 
-    /// Run the heuristic.
+    /// Run the heuristic (one-shot: builds a [`TeLexSolver`] per call).
     ///
     /// Errors are either LP failures or, in strict mode, a pinned demand
     /// that does not fit its shortest path.
     pub fn solve(&self, problem: &TeProblem, volumes: &[f64]) -> Result<TeAllocation, DpError> {
-        let mut pool = SessionPool::new();
-        self.solve_pooled(problem, volumes, &mut pool)
+        let mut solver = problem.lex_solver().map_err(DpError::Lp)?;
+        self.solve_with(problem, volumes, &mut solver)
     }
 
-    /// [`DemandPinning::solve`] through a warm-start [`SessionPool`] —
-    /// the analyzer evaluates thousands of demand vectors against one
-    /// problem, and phase 2's residual max-flow LP never changes shape.
-    pub fn solve_pooled(
-        &self,
-        problem: &TeProblem,
-        volumes: &[f64],
-        pool: &mut SessionPool,
-    ) -> Result<TeAllocation, DpError> {
-        let pin = self.pin_phase(problem, volumes)?;
-        let alloc = problem
-            .solve_max_flow_lex_pooled(volumes, Some(&pin.pass.residual), &pin.pass.pinned, pool)
-            .map_err(DpError::Lp)?;
-        Ok(pin.merge(problem, alloc))
-    }
-
-    /// [`DemandPinning::solve`] through a prepared [`TeLexSolver`]: the
-    /// phase-2 LP re-solves by rhs deltas — no per-evaluation model build.
-    pub fn solve_prepared(
+    /// [`DemandPinning::solve`] through a caller-held [`TeLexSolver`] for
+    /// `problem`: the phase-2 LP re-solves by rhs deltas — no
+    /// per-evaluation model build.
+    pub fn solve_with(
         &self,
         problem: &TeProblem,
         volumes: &[f64],
@@ -155,34 +140,19 @@ impl DemandPinning {
     }
 
     /// The performance gap `OPT(volumes) - DP(volumes)` (nonnegative up to
-    /// LP tolerance, since DP is a restriction of OPT).
+    /// LP tolerance, since DP is a restriction of OPT). One-shot: builds a
+    /// [`TeLexSolver`] per call.
     pub fn gap(&self, problem: &TeProblem, volumes: &[f64]) -> Result<f64, DpError> {
-        let mut pool = SessionPool::new();
-        self.gap_pooled(problem, volumes, &mut pool)
+        let mut solver = problem.lex_solver().map_err(DpError::Lp)?;
+        self.gap_with(problem, volumes, &mut solver)
     }
 
-    /// [`DemandPinning::gap`] through a warm-start [`SessionPool`].
-    pub fn gap_pooled(
-        &self,
-        problem: &TeProblem,
-        volumes: &[f64],
-        pool: &mut SessionPool,
-    ) -> Result<f64, DpError> {
-        let opt = problem.optimal_pooled(volumes, pool).map_err(DpError::Lp)?;
-        let dp = self.solve_pooled(problem, volumes, pool)?;
-        Ok(opt.total - dp.total)
-    }
-
-    /// [`DemandPinning::gap`] through a prepared [`TeLexSolver`] — the
-    /// analyzer's hot path (phase 2 / E7 fan-out): two stage-1 LP solves
-    /// per evaluation, zero model builds. The gap consumes only *totals*,
-    /// and the total max flow is stage 1's objective — the lexicographic
-    /// refinement stage only selects which optimal vertex to report — so
-    /// this path skips it via [`TeLexSolver::total_flow`]. The value may
-    /// differ from [`DemandPinning::gap_pooled`] in trailing floating-point
-    /// bits (the pooled path re-sums the refined vertex's flows); callers
-    /// needing the allocation itself use [`DemandPinning::solve_prepared`].
-    pub fn gap_prepared(
+    /// [`DemandPinning::gap`] through a caller-held [`TeLexSolver`] for
+    /// `problem`. The gap is OPT's stage-1 total minus (pinned total +
+    /// phase-2 stage-1 total): two stage-1 solves via
+    /// [`TeLexSolver::total_flow`], since a total needs no lexicographic
+    /// vertex.
+    pub fn gap_with(
         &self,
         problem: &TeProblem,
         volumes: &[f64],

@@ -5,7 +5,9 @@ use crate::te::paths::{k_shortest_paths, Path};
 use crate::te::topology::Topology;
 use serde::{Deserialize, Serialize};
 use std::sync::{Mutex, MutexGuard};
-use xplain_lp::{Cmp, LinExpr, LpError, Model, Prepared, Sense, SessionPool, SolverStats, VarType};
+use xplain_lp::{
+    Cmp, LinExpr, LpError, Model, Prepared, Sense, SolverSession, SolverStats, VarType,
+};
 
 /// A demand endpoint pair (amounts are supplied separately — they are the
 /// *input space* the analyzer searches).
@@ -181,117 +183,46 @@ impl TeProblem {
     /// matches the paper's Type-2 narrative — "DP does shortest-path
     /// routing for these demands, whereas the optimal does not" — so the
     /// explainer's heat-map contrasts are crisp (see DESIGN.md §6).
+    ///
+    /// One-shot: builds a [`TeLexSolver`] per call. Sweeps over demand
+    /// vectors hold one solver and call [`TeLexSolver::optimal`].
     pub fn optimal(&self, volumes: &[f64]) -> Result<TeAllocation, LpError> {
-        self.solve_max_flow_lex(volumes, None, &[])
+        self.lex_solver()?.optimal(volumes)
     }
 
-    /// [`TeProblem::optimal`] through a warm-start [`SessionPool`]: the
-    /// benchmark LP has a fixed structure per problem, so sweeps over
-    /// demand vectors (the analyzer's bread and butter) re-solve from the
-    /// previous basis instead of running a cold phase 1 every time.
-    pub fn optimal_pooled(
-        &self,
-        volumes: &[f64],
-        pool: &mut SessionPool,
-    ) -> Result<TeAllocation, LpError> {
-        self.solve_max_flow_lex_pooled(volumes, None, &[], pool)
-    }
-
-    /// Lexicographic max-flow: maximize total, then among optima minimize
-    /// the flow carried by each demand's shortest path.
-    pub fn solve_max_flow_lex(
-        &self,
-        volumes: &[f64],
-        capacities: Option<&[f64]>,
-        skip_demand: &[bool],
-    ) -> Result<TeAllocation, LpError> {
-        let mut pool = SessionPool::new();
-        self.solve_max_flow_lex_pooled(volumes, capacities, skip_demand, &mut pool)
-    }
-
-    /// [`TeProblem::solve_max_flow_lex`] through a caller-owned pool. The
-    /// two lexicographic stages have different shapes (stage 2 carries the
-    /// `lex_total` pin), so they warm-start against separate sessions.
-    pub fn solve_max_flow_lex_pooled(
-        &self,
-        volumes: &[f64],
-        capacities: Option<&[f64]>,
-        skip_demand: &[bool],
-        pool: &mut SessionPool,
-    ) -> Result<TeAllocation, LpError> {
-        let model = self.max_flow_model(volumes, capacities, skip_demand);
-        let sol = pool.solve(&model)?;
-        let total = sol.objective;
-
-        // Phase 2: pin the total, minimize shortest-path usage.
-        let mut model2 = self.max_flow_model(volumes, capacities, skip_demand);
-        let objective = model2.objective().clone();
-        // Tiny slack: just enough to absorb phase-1 round-off without
-        // letting phase 2 trade away measurable total flow.
-        let slack = 1e-9 * total.abs().max(1.0);
-        model2.add_constr("lex_total", objective, Cmp::Ge, total - slack);
+    /// The lexicographic stage-2 LP over a stage-1 `model`: the
+    /// `lex_total` pin row (`total flow >= total_pin`) plus the negated
+    /// shortest-path objective, so stage 2 minimizes shortest-path usage
+    /// among the stage-1 optima.
+    fn lex_stage2_model(&self, mut model: Model, total_pin: f64) -> Model {
+        let objective = model.objective().clone();
+        model.add_constr("lex_total", objective, Cmp::Ge, total_pin);
         let mut secondary = LinExpr::new();
         let mut var_ix = 0usize;
         for paths in &self.paths {
-            for pp in 0..paths.len() {
-                if pp == 0 {
-                    secondary.add_term(xplain_lp::VarId::from_index(var_ix), 1.0);
-                }
-                var_ix += 1;
+            if !paths.is_empty() {
+                secondary.add_term(xplain_lp::VarId::from_index(var_ix), 1.0);
             }
+            var_ix += paths.len();
         }
-        model2.set_objective(-secondary);
-        let sol2 = pool.solve(&model2)?;
-
-        let mut flows = Vec::with_capacity(self.num_demands());
-        let mut var_ix = 0usize;
-        let mut routed = 0.0;
-        for paths in &self.paths {
-            let mut row = Vec::with_capacity(paths.len());
-            for _ in paths {
-                let f = sol2.values[var_ix].max(0.0);
-                routed += f;
-                row.push(f);
-                var_ix += 1;
-            }
-            flows.push(row);
-        }
-        Ok(TeAllocation {
-            flows,
-            total: routed,
-        })
+        model.set_objective(-secondary);
+        model
     }
 
     /// Build a [`TeLexSolver`]: both lexicographic stage LPs standardized
     /// once, so sweeps over demand vectors (the analyzer's probe fan-out)
     /// re-solve through rhs deltas with no per-evaluation model build.
     pub fn lex_solver(&self) -> Result<TeLexSolver, LpError> {
-        let zeros = vec![0.0; self.num_demands()];
-        let stage1 = Prepared::new(&self.max_flow_model(&zeros, None, &[]))?;
-        // Stage 2 mirrors `solve_max_flow_lex_pooled` exactly: same model,
-        // plus the `lex_total` pin row (rhs set per solve) and the negated
-        // shortest-path objective.
-        let mut m2 = self.max_flow_model(&zeros, None, &[]);
-        let objective = m2.objective().clone();
-        m2.add_constr("lex_total", objective, Cmp::Ge, 0.0);
-        let mut secondary = LinExpr::new();
-        let mut var_ix = 0usize;
-        for paths in &self.paths {
-            for pp in 0..paths.len() {
-                if pp == 0 {
-                    secondary.add_term(xplain_lp::VarId::from_index(var_ix), 1.0);
-                }
-                var_ix += 1;
-            }
-        }
-        m2.set_objective(-secondary);
-        let stage2 = Prepared::new(&m2)?;
+        let model = self.max_flow_model(&vec![0.0; self.num_demands()], None, &[]);
+        let stage1 = Prepared::new(&model)?;
+        let stage2 = Prepared::new(&self.lex_stage2_model(model, 0.0))?;
         Ok(TeLexSolver {
             stage1,
             stage2,
             path_counts: self.paths.iter().map(|ps| ps.len()).collect(),
             link_caps: self.topology.links.iter().map(|l| l.capacity).collect(),
-            pool: SessionPool::new(),
+            session1: SolverSession::new(),
+            session2: SolverSession::new(),
         })
     }
 
@@ -341,16 +272,19 @@ impl TeProblem {
     }
 }
 
-/// Prepared lexicographic max-flow solver for one [`TeProblem`].
+/// Prepared lexicographic max-flow solver for one [`TeProblem`] — the
+/// one solve path behind every TE benchmark and Demand Pinning solve.
 ///
-/// Holds both stage LPs pre-standardized plus a warm-start [`SessionPool`];
-/// [`TeLexSolver::solve_max_flow_lex`] only writes rhs values (demand
-/// volumes, residual capacities, the stage-2 total pin) before re-solving.
-/// The rhs computation mirrors [`TeProblem::max_flow_model`] bit for bit
-/// and both paths funnel into the same solver entry point, so a prepared
-/// solve returns *byte-identical* solutions to building the model afresh —
-/// pinned by `te_lex_solver_matches_model_path` below and the analyzer's
-/// replay suite.
+/// Holds both stage LPs pre-standardized, each with its own warm-start
+/// [`SolverSession`] (the stages differ in shape, so each re-solves
+/// against its own history); [`TeLexSolver::solve_max_flow_lex`] only
+/// writes rhs values (demand volumes, residual capacities, the stage-2
+/// total pin) before re-solving. The rhs computation mirrors
+/// [`TeProblem::max_flow_model`] bit for bit and a prepared solve equals
+/// the model solve it stands for, so a solve returns *byte-identical*
+/// solutions to building the stage models afresh — pinned by
+/// `te_lex_solver_matches_model_path` below and the analyzer's replay
+/// suite.
 pub struct TeLexSolver {
     stage1: Prepared,
     stage2: Prepared,
@@ -359,12 +293,47 @@ pub struct TeLexSolver {
     /// Topology link capacities — the per-solve default (cap rows follow
     /// the demand rows).
     link_caps: Vec<f64>,
-    pool: SessionPool,
+    session1: SolverSession,
+    session2: SolverSession,
+}
+
+/// The stage-2 `lex_total` pin for a stage-1 optimum: a tiny slack, just
+/// enough to absorb stage-1 round-off without letting stage 2 trade away
+/// measurable total flow.
+fn lex_total_pin(total: f64) -> f64 {
+    total - 1e-9 * total.abs().max(1.0)
+}
+
+/// The demand rows (`0..n`) then the link-capacity rows of a max-flow LP
+/// as `(row, rhs)`, computed exactly as [`TeProblem::max_flow_model`]
+/// computes them.
+fn max_flow_rhs<'a>(
+    n: usize,
+    link_caps: &'a [f64],
+    volumes: &'a [f64],
+    capacities: Option<&'a [f64]>,
+    skip_demand: &'a [bool],
+) -> impl Iterator<Item = (usize, f64)> + 'a {
+    let demands = (0..n).map(move |k| {
+        let vol = if skip_demand.get(k).copied().unwrap_or(false) {
+            0.0
+        } else {
+            volumes.get(k).copied().unwrap_or(0.0)
+        };
+        (k, vol.max(0.0))
+    });
+    let links = link_caps.iter().enumerate().map(move |(l, &link_cap)| {
+        let cap = capacities.map(|c| c[l]).unwrap_or(link_cap).max(0.0);
+        (n + l, cap)
+    });
+    demands.chain(links)
 }
 
 impl TeLexSolver {
-    /// Lexicographic max-flow (see [`TeProblem::solve_max_flow_lex`]) via
-    /// rhs deltas on the prepared stage LPs.
+    /// Lexicographic max-flow: maximize the total routed flow, then among
+    /// the optima minimize the flow carried by each demand's shortest
+    /// path. `capacities` overrides the topology's link capacities and a
+    /// `skip_demand` entry zeroes that demand (Demand Pinning's phase 2).
     pub fn solve_max_flow_lex(
         &mut self,
         volumes: &[f64],
@@ -372,27 +341,14 @@ impl TeLexSolver {
         skip_demand: &[bool],
     ) -> Result<TeAllocation, LpError> {
         let n = self.path_counts.len();
-        for k in 0..n {
-            let vol = if skip_demand.get(k).copied().unwrap_or(false) {
-                0.0
-            } else {
-                volumes.get(k).copied().unwrap_or(0.0)
-            };
-            let rhs = vol.max(0.0);
-            self.stage1.set_rhs(k, rhs);
-            self.stage2.set_rhs(k, rhs);
+        for (row, rhs) in max_flow_rhs(n, &self.link_caps, volumes, capacities, skip_demand) {
+            self.stage1.set_rhs(row, rhs);
+            self.stage2.set_rhs(row, rhs);
         }
-        for (l, &link_cap) in self.link_caps.iter().enumerate() {
-            let cap = capacities.map(|c| c[l]).unwrap_or(link_cap).max(0.0);
-            self.stage1.set_rhs(n + l, cap);
-            self.stage2.set_rhs(n + l, cap);
-        }
-        let sol = self.pool.solve_prepared(&self.stage1)?;
-        let total = sol.objective;
-
-        let slack = 1e-9 * total.abs().max(1.0);
-        self.stage2.set_rhs(n + self.link_caps.len(), total - slack);
-        let sol2 = self.pool.solve_prepared(&self.stage2)?;
+        let total = self.session1.solve_prepared(&self.stage1)?.objective;
+        self.stage2
+            .set_rhs(n + self.link_caps.len(), lex_total_pin(total));
+        let sol2 = self.session2.solve_prepared(&self.stage2)?;
 
         let mut flows = Vec::with_capacity(n);
         let mut var_ix = 0usize;
@@ -434,19 +390,10 @@ impl TeLexSolver {
         skip_demand: &[bool],
     ) -> Result<f64, LpError> {
         let n = self.path_counts.len();
-        for k in 0..n {
-            let vol = if skip_demand.get(k).copied().unwrap_or(false) {
-                0.0
-            } else {
-                volumes.get(k).copied().unwrap_or(0.0)
-            };
-            self.stage1.set_rhs(k, vol.max(0.0));
+        for (row, rhs) in max_flow_rhs(n, &self.link_caps, volumes, capacities, skip_demand) {
+            self.stage1.set_rhs(row, rhs);
         }
-        for (l, &link_cap) in self.link_caps.iter().enumerate() {
-            let cap = capacities.map(|c| c[l]).unwrap_or(link_cap).max(0.0);
-            self.stage1.set_rhs(n + l, cap);
-        }
-        Ok(self.pool.solve_prepared(&self.stage1)?.objective)
+        Ok(self.session1.solve_prepared(&self.stage1)?.objective)
     }
 
     /// Forget every cached basis, so the next solve starts cold.
@@ -458,12 +405,15 @@ impl TeLexSolver {
     /// each evaluation; the sessions keep their workspaces, so the reset
     /// solver allocates no more than a warm one.
     pub fn reset(&mut self) {
-        self.pool.reset();
+        self.session1.reset();
+        self.session2.reset();
     }
 
-    /// Aggregate solver statistics of the internal pool.
+    /// Solver statistics of both stage sessions, summed.
     pub fn stats(&self) -> SolverStats {
-        self.pool.stats()
+        let mut total = self.session1.stats;
+        total.absorb(&self.session2.stats);
+        total
     }
 }
 
@@ -531,12 +481,31 @@ mod tests {
 
     /// A prepared solver and the model-building path must return
     /// byte-identical allocations across a sweep (they feed the replay
-    /// pins, which compare serialized output exactly).
+    /// pins, which compare serialized output exactly). The model path
+    /// builds both stage models per point and solves each through its own
+    /// warm session.
     #[test]
     fn te_lex_solver_matches_model_path() {
         let p = TeProblem::fig1a();
         let mut solver = p.lex_solver().unwrap();
-        let mut pool = SessionPool::new();
+        let mut sessions = (SolverSession::new(), SolverSession::new());
+        let mut model_path = |volumes: &[f64], caps: Option<&[f64]>, skips: &[bool]| {
+            let model = p.max_flow_model(volumes, caps, skips);
+            let total = sessions.0.solve(&model).unwrap().objective;
+            let stage2 = p.lex_stage2_model(model, lex_total_pin(total));
+            let sol2 = sessions.1.solve(&stage2).unwrap();
+            let flows: Vec<f64> = sol2.values.iter().map(|f| f.max(0.0)).collect();
+            let total = flows.iter().fold(0.0, |acc, f| acc + f);
+            (total, flows)
+        };
+        let mut check = |volumes: &[f64], caps: Option<&[f64]>, skips: &[bool]| {
+            let a = solver.solve_max_flow_lex(volumes, caps, skips).unwrap();
+            let (total, flows) = model_path(volumes, caps, skips);
+            assert_eq!(a.total.to_bits(), total.to_bits());
+            let a_flows: Vec<u64> = a.flows.iter().flatten().map(|f| f.to_bits()).collect();
+            let b_flows: Vec<u64> = flows.iter().map(|f| f.to_bits()).collect();
+            assert_eq!(a_flows, b_flows);
+        };
         let sweeps: &[[f64; 3]] = &[
             [50.0, 100.0, 100.0],
             [0.0, 0.0, 0.0],
@@ -545,27 +514,11 @@ mod tests {
             [-5.0, 10.0, 10.0],
         ];
         for volumes in sweeps {
-            let a = solver.solve_max_flow_lex(volumes, None, &[]).unwrap();
-            let b = p
-                .solve_max_flow_lex_pooled(volumes, None, &[], &mut pool)
-                .unwrap();
-            assert_eq!(a.total.to_bits(), b.total.to_bits());
-            for (ra, rb) in a.flows.iter().zip(&b.flows) {
-                for (fa, fb) in ra.iter().zip(rb) {
-                    assert_eq!(fa.to_bits(), fb.to_bits());
-                }
-            }
+            check(volumes, None, &[]);
         }
         // Residual-capacity + skip route (the DP phase-2 shape).
         let caps = vec![50.0, 50.0, 50.0, 50.0, 50.0];
-        let skips = [true, false, false];
-        let a = solver
-            .solve_max_flow_lex(&[100.0, 100.0, 100.0], Some(&caps), &skips)
-            .unwrap();
-        let b = p
-            .solve_max_flow_lex_pooled(&[100.0, 100.0, 100.0], Some(&caps), &skips, &mut pool)
-            .unwrap();
-        assert_eq!(a.total.to_bits(), b.total.to_bits());
+        check(&[100.0, 100.0, 100.0], Some(&caps), &[true, false, false]);
     }
 
     #[test]

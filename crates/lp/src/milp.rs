@@ -172,23 +172,6 @@ pub fn solve_with(model: &Model, backend: Backend) -> Result<(Solution, MilpStat
     solve_inner(model, backend, false, None, &mut session)
 }
 
-/// Branch and bound through a caller-owned [`crate::revised::SessionPool`]:
-/// repeated
-/// solves of same-shaped models (an analyzer's iterate-and-exclude loop)
-/// warm-start across *calls*, not just across nodes.
-pub fn solve_pooled(
-    model: &Model,
-    pool: &mut crate::revised::SessionPool,
-) -> Result<(Solution, MilpStats), LpError> {
-    solve_inner(
-        model,
-        Backend::Revised,
-        false,
-        None,
-        pool.session_for(model),
-    )
-}
-
 /// Test hook: `clone_per_node` re-clones the scratch model at every node
 /// (the pre-warm-start behavior) instead of applying bound deltas. Both
 /// modes must produce identical traces — pinned by a regression test.

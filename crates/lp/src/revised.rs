@@ -33,8 +33,8 @@
 //!   matrix fingerprint, the solve reuses the factorization outright —
 //!   bound changes (branch-and-bound children) and rhs changes (gap-oracle
 //!   sweeps) cost a handful of dual simplex steps with zero refactoring.
-//!   [`SessionPool`] keys sessions by model shape for call sites that
-//!   alternate between a few fixed shapes.
+//!   A call site that alternates between a few fixed shapes holds one
+//!   session per shape (the lexicographic max-flow's two stages do).
 //! * **Prepared re-solves.** [`Prepared`] standardizes a model once;
 //!   [`SolverSession::solve_prepared`] then re-solves after in-place
 //!   bound/rhs edits without touching the `Model` at all, and
@@ -308,13 +308,6 @@ impl Prepared {
         let ix = v.index();
         (self.lp.lo[ix], self.lp.hi[ix])
     }
-
-    /// The session-pool shape key — identical to the one a `Model` with
-    /// this shape resolves to, so prepared and model-based solves share
-    /// warm state.
-    fn shape_key(&self) -> (usize, usize) {
-        (self.lp.n_struct, self.lp.m)
-    }
 }
 
 /// One bound/rhs perturbation of a [`Prepared`] base model, for
@@ -506,90 +499,6 @@ impl SolverSession {
     /// True if a basis is cached.
     pub fn has_warm_basis(&self) -> bool {
         self.warm.is_some()
-    }
-}
-
-/// Sessions keyed by model shape `(num_vars, num_constraints)`.
-///
-/// Call sites like the lexicographic max-flow (stage-1 and stage-2 models
-/// of different shapes, alternating) or an analyzer's iterate-and-exclude
-/// loop (shape grows with each exclusion) keep one pool and let each
-/// shape warm-start against its own history. [`Prepared`] models route to
-/// the same per-shape sessions, so prepared and model-based solves of one
-/// shape share warm state.
-#[derive(Debug, Default)]
-pub struct SessionPool {
-    entries: Vec<((usize, usize), SolverSession)>,
-}
-
-impl SessionPool {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn session_for_shape(&mut self, key: (usize, usize)) -> &mut SolverSession {
-        let pos = self.entries.iter().position(|(k, _)| *k == key);
-        let ix = match pos {
-            Some(ix) => ix,
-            None => {
-                self.entries.push((key, SolverSession::new()));
-                self.entries.len() - 1
-            }
-        };
-        &mut self.entries[ix].1
-    }
-
-    /// The session for this model shape (created on first use).
-    pub fn session_for(&mut self, model: &Model) -> &mut SolverSession {
-        self.session_for_shape((model.num_vars(), model.num_constraints()))
-    }
-
-    /// Solve through the shape-matched session.
-    pub fn solve(&mut self, model: &Model) -> Result<Solution, LpError> {
-        self.session_for(model).solve(model)
-    }
-
-    /// [`SolverSession::solve_prepared`] through the shape-matched session.
-    pub fn solve_prepared(&mut self, prep: &Prepared) -> Result<Solution, LpError> {
-        self.session_for_shape(prep.shape_key())
-            .solve_prepared(prep)
-    }
-
-    /// [`SolverSession::solve_batch`] through the shape-matched session.
-    pub fn solve_batch(
-        &mut self,
-        prep: &mut Prepared,
-        probes: &[Probe],
-    ) -> Vec<Result<Solution, LpError>> {
-        let key = prep.shape_key();
-        self.session_for_shape(key).solve_batch(prep, probes)
-    }
-
-    /// [`SolverSession::reset`] every session: the next solve of each
-    /// shape is cold, and the sessions keep their workspaces.
-    pub fn reset(&mut self) {
-        for (_, s) in &mut self.entries {
-            s.reset();
-        }
-    }
-
-    /// Aggregate statistics across every session in the pool.
-    pub fn stats(&self) -> SolverStats {
-        let mut total = SolverStats::default();
-        for (_, s) in &self.entries {
-            total.absorb(&s.stats);
-        }
-        total
-    }
-
-    /// Number of distinct shapes seen.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if no session has been created yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -1594,7 +1503,7 @@ impl<'a> Core<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Cmp, LinExpr, Model, Sense, VarType};
+    use crate::{Cmp, Model, Sense, VarType};
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-6, "{a} != {b}");
@@ -1801,29 +1710,6 @@ mod tests {
     }
 
     #[test]
-    fn session_pool_tracks_shapes() {
-        let mut pool = SessionPool::new();
-        for round in 0..3 {
-            for n in [1usize, 2] {
-                let mut m = Model::new(Sense::Maximize);
-                let vars: Vec<_> = (0..n)
-                    .map(|i| m.add_var(format!("v{i}"), VarType::Continuous, 0.0, 5.0))
-                    .collect();
-                m.add_constr("cap", LinExpr::sum(vars.iter().copied()), Cmp::Le, 4.0);
-                m.set_objective(LinExpr::sum(vars.iter().copied()));
-                let s = pool.solve(&m).unwrap();
-                assert_close(s.objective, 4.0_f64.min(5.0 * n as f64));
-                let _ = round;
-            }
-        }
-        assert_eq!(pool.len(), 2);
-        let stats = pool.stats();
-        assert_eq!(stats.solves, 6);
-        assert_eq!(stats.cold_starts, 2);
-        assert_eq!(stats.warm_hits, 4);
-    }
-
-    #[test]
     fn negative_rhs_rows() {
         let mut m = Model::new(Sense::Maximize);
         let x = m.add_var("x", VarType::Continuous, 0.0, 10.0);
@@ -1959,17 +1845,5 @@ mod tests {
         // One factorization amortized across the batch.
         assert_eq!(session.stats.cold_starts, 1);
         assert_eq!(session.stats.warm_hits, 2);
-    }
-
-    #[test]
-    fn pool_routes_prepared_and_model_solves_to_one_session() {
-        let mut pool = SessionPool::new();
-        let model = flow_model(50.0, 100.0, 120.0);
-        pool.solve(&model).unwrap();
-        let prep = Prepared::new(&model).unwrap();
-        pool.solve_prepared(&prep).unwrap();
-        assert_eq!(pool.len(), 1, "prepared solve must reuse the shape session");
-        assert_eq!(pool.stats().cold_starts, 1);
-        assert_eq!(pool.stats().warm_hits, 1);
     }
 }

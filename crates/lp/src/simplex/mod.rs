@@ -3,8 +3,8 @@
 //! [`solve`] runs the production solver — the revised simplex with native
 //! bounded variables of [`crate::revised`] — as a cold one-shot solve.
 //! Callers with repeated near-identical solves (branch-and-bound nodes,
-//! gap-oracle sweeps) should hold a [`crate::revised::SolverSession`] or
-//! [`crate::revised::SessionPool`] instead and warm-start.
+//! gap-oracle sweeps) should hold a [`crate::revised::SolverSession`]
+//! instead and warm-start.
 //!
 //! [`mod@reference`] keeps the original dense two-phase tableau solver alive
 //! as the trusted oracle of the differential test-bed: same signature,

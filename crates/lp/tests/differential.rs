@@ -26,8 +26,7 @@
 
 use proptest::prelude::*;
 use xplain_lp::{
-    milp, simplex, Cmp, LinExpr, LpError, Model, Prepared, Sense, SessionPool, Solution,
-    SolverSession, VarType,
+    milp, simplex, Cmp, LinExpr, LpError, Model, Prepared, Sense, Solution, SolverSession, VarType,
 };
 
 /// Outcome classes the two solvers must agree on.
@@ -400,8 +399,7 @@ proptest! {
     ///   `Infeasible`, `Unbounded`, `IterationLimit`), the reused session
     ///   returns bit for bit what a fresh session returns;
     /// * two shapes alternating through one session (every solve cold)
-    ///   or one `SessionPool` (each shape warm on its own history, reset
-    ///   together) match fresh or per-shape sessions;
+    ///   match fresh sessions;
     /// * a warm prepared rhs sweep long enough to cross the
     ///   refactorization cadence (the factorization arena is rebuilt in
     ///   place) equals the same sweep through built models in a second,
@@ -424,7 +422,6 @@ proptest! {
         pack_coefs in collection::vec(1i32..4, 36),
         pack_obj in collection::vec(1i32..4, 6),
         sweep in collection::vec(0i32..24, 96),
-        resets in collection::vec(0u8..4, 12),
     ) {
         let target = build_model(
             n, mrows, &kinds, &lo_raw, &width_raw, &coefs, &cmps, &rhs, &obj, sense_bit == 1,
@@ -467,25 +464,6 @@ proptest! {
                 assert_same_bits(&reused, &SolverSession::new().solve(m), &format!("round {round}"));
             }
         }
-        // ...and through one pool, reset together, against one dedicated
-        // session per shape.
-        let mut pool = SessionPool::new();
-        let mut own = [SolverSession::new(), SolverSession::new()];
-        for (step, &r) in resets.iter().enumerate() {
-            if r == 0 {
-                pool.reset();
-                own.iter_mut().for_each(SolverSession::reset);
-            }
-            let b = 2.0 + (step % 5) as f64 * 2.0;
-            let shaped = [
-                packing_model(n, &pack_coefs, &vec![b; mrows], &pack_obj),
-                packing_model(n + 1, &pack_coefs, &vec![b + 1.0; mrows + 1], &pack_obj),
-            ];
-            for (m, own) in shaped.iter().zip(own.iter_mut()) {
-                assert_same_bits(&pool.solve(m), &own.solve(m), &format!("pool step {step}"));
-            }
-        }
-        prop_assert_eq!(pool.len(), 2);
 
         // A long warm rhs sweep on a session with history, against fresh
         // built-model solves.

@@ -34,9 +34,9 @@ use xplain_flownet::FlowNet;
 /// Each evaluation is cold because the checked-out solver is reset, so
 /// its output does not depend on which solver it drew or what that
 /// solver solved before. The cold solves are byte-identical to building
-/// the model afresh (the prepared and model paths funnel into one solver
-/// entry point; pinned by `te_lex_solver_matches_model_path`, the
-/// history-independence tests below and the replay suite).
+/// the stage models afresh and to the one-shot `DemandPinning::solve` /
+/// `TeProblem::optimal` (pinned by `te_lex_solver_matches_model_path`,
+/// the history-independence tests below and the replay suite).
 pub struct DpDslMapper {
     pub problem: TeProblem,
     pub heuristic: DemandPinning,
@@ -78,9 +78,8 @@ impl DslMapper for DpDslMapper {
     }
 
     fn heuristic_flows(&self, x: &[f64]) -> Option<Vec<f64>> {
-        let alloc = self.with_cold_solver(|solver| {
-            self.heuristic.solve_prepared(&self.problem, x, solver).ok()
-        })?;
+        let alloc = self
+            .with_cold_solver(|solver| self.heuristic.solve_with(&self.problem, x, solver).ok())?;
         Some(self.dsl.assignment(x, &alloc))
     }
 
@@ -383,7 +382,7 @@ mod tests {
     /// The mapper's flows are a function of the input alone: whatever
     /// order the points come in and whichever thread asks (so whichever
     /// reused solver it draws), they equal bit for bit the flows of the
-    /// model-building paths with fresh pools.
+    /// one-shot solves, each on a fresh solver.
     #[test]
     fn dp_mapper_output_does_not_depend_on_call_history() {
         let problem = TeProblem::fig1a();
@@ -460,6 +459,36 @@ mod tests {
                 inst.observation.gap
             );
         }
+    }
+
+    /// The gap has one definition: a generated instance's observed gap
+    /// equals, bit for bit, what the analysis oracle computes at the
+    /// same adversarial input — over the default family and jittered
+    /// capacities.
+    #[test]
+    fn dp_family_gap_is_the_oracle_gap() {
+        let jittered = DpFamily {
+            cap_jitter: 0.2,
+            ..DpFamily::default()
+        };
+        let mut checked = 0usize;
+        for (family, seeds) in [(DpFamily::default(), 0..1u64), (jittered, 0..4u64)] {
+            for seed in seeds {
+                let mut rng = StdRng::seed_from_u64(seed);
+                for inst in generate_dp_instances(&family, &mut rng) {
+                    let oracle = DpOracle::new(inst.problem.clone(), inst.threshold);
+                    let gap = oracle.gap(&inst.adversarial_input);
+                    assert_eq!(
+                        inst.observation.gap.to_bits(),
+                        gap.to_bits(),
+                        "seed {seed}: observed {} vs oracle {gap}",
+                        inst.observation.gap
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        assert_eq!(checked, 30);
     }
 
     #[test]

@@ -453,7 +453,7 @@ impl<'a> JobQueue<'a> {
     }
 
     /// Attach a tenant directory: submissions via
-    /// [`JobQueue::submit_deduped_as`] are scheduled in per-tenant
+    /// [`JobQueue::submit_deduped`] are scheduled in per-tenant
     /// lanes weighted by the registry, and per-tenant quotas (in-flight
     /// cap, submit rate) reject with tenant-scoped [`QueueFull`]
     /// context. Without one — or with an open-mode registry — every
@@ -583,16 +583,12 @@ impl<'a> JobQueue<'a> {
     /// budget-stopped work everywhere in this stack: resubmit, and the
     /// next execution resumes from the checkpoint under the new
     /// submission's budgets.
-    pub fn submit_deduped(&self, spec: JobSpec) -> Result<Submitted, QueueFull> {
-        self.submit_deduped_inner(spec, None, false)
-    }
-
-    /// [`JobQueue::submit_deduped`] with a tenant attribution: the job
-    /// is scheduled in the tenant's weighted lane, counted against the
-    /// tenant's quotas, and journaled with the attribution so recovery
-    /// preserves fairness state. `None` is the anonymous tenant (open
-    /// mode).
-    pub fn submit_deduped_as(
+    ///
+    /// `tenant` attributes the job: it is scheduled in the tenant's
+    /// weighted lane, counted against the tenant's quotas, and journaled
+    /// with the attribution so recovery preserves fairness state. `None`
+    /// is the anonymous tenant (open mode).
+    pub fn submit_deduped(
         &self,
         spec: JobSpec,
         tenant: Option<&str>,
@@ -600,7 +596,7 @@ impl<'a> JobQueue<'a> {
         self.submit_deduped_inner(spec, tenant, false)
     }
 
-    /// [`JobQueue::submit_deduped_as`] with the recovery stamp —
+    /// [`JobQueue::submit_deduped`] with the recovery stamp —
     /// `recovered` is true only for [`JobQueue::recover`]
     /// re-submissions (which bypass the submit-rate bucket: recovery is
     /// not a client burst).
@@ -1483,13 +1479,13 @@ mod tests {
             },
             None,
         );
-        queue.submit_deduped(spec("dp", 1)).unwrap();
-        let err = queue.submit_deduped(spec("dp", 2)).unwrap_err();
+        queue.submit_deduped(spec("dp", 1), None).unwrap();
+        let err = queue.submit_deduped(spec("dp", 2), None).unwrap_err();
         assert_eq!(err.capacity, 1);
         assert_eq!(err.depth, 1);
         assert_eq!(queue.counters().rejected_full, 1);
         // Identical spec still joins in-flight work even at capacity.
-        let joined = queue.submit_deduped(spec("dp", 1)).unwrap();
+        let joined = queue.submit_deduped(spec("dp", 1), None).unwrap();
         assert_eq!(joined.disposition, Disposition::InFlight);
     }
 
@@ -1505,7 +1501,7 @@ mod tests {
             },
             None,
         );
-        let sub = queue.submit_deduped(spec("no-such", 1)).unwrap();
+        let sub = queue.submit_deduped(spec("no-such", 1), None).unwrap();
         assert_eq!(sub.disposition, Disposition::Enqueued);
         queue.drain_worker();
         let view = queue.poll(sub.key).unwrap();
@@ -1519,7 +1515,7 @@ mod tests {
         );
         // Resubmitting a terminally failed job serves the failure, it
         // does not re-run it.
-        let again = queue.submit_deduped(spec("no-such", 1)).unwrap();
+        let again = queue.submit_deduped(spec("no-such", 1), None).unwrap();
         assert_eq!(again.disposition, Disposition::CacheHit);
         assert_eq!(again.slot, sub.slot);
         // Its (empty) event stream reads as complete.
@@ -1533,7 +1529,7 @@ mod tests {
     fn cancel_of_queued_job_completes_without_running() {
         let registry = DomainRegistry::builtin();
         let queue = JobQueue::new(&registry, None, QueueOptions::default(), None);
-        let sub = queue.submit_deduped(spec("dp", 9)).unwrap();
+        let sub = queue.submit_deduped(spec("dp", 9), None).unwrap();
         // No worker running: the job sits queued; cancel it.
         assert_eq!(queue.cancel(sub.key), Some(JobPhase::Queued));
         let view = queue.poll(sub.key).unwrap();
@@ -1561,9 +1557,9 @@ mod tests {
             None,
         );
         // Error outcomes complete instantly — cheap Done slots.
-        let a = queue.submit_deduped(spec("no-such", 1)).unwrap();
+        let a = queue.submit_deduped(spec("no-such", 1), None).unwrap();
         queue.drain_worker();
-        let b = queue.submit_deduped(spec("no-such", 2)).unwrap();
+        let b = queue.submit_deduped(spec("no-such", 2), None).unwrap();
         queue.drain_worker();
         // Only the newest completion is retained; the oldest is
         // tombstoned and its id no longer resolves.
@@ -1577,7 +1573,7 @@ mod tests {
             .wait_events(a.slot, 0, Duration::from_millis(10))
             .is_none());
         // Resubmitting the evicted spec schedules a fresh execution.
-        let again = queue.submit_deduped(spec("no-such", 1)).unwrap();
+        let again = queue.submit_deduped(spec("no-such", 1), None).unwrap();
         assert_eq!(again.disposition, Disposition::Enqueued);
     }
 
@@ -1585,8 +1581,8 @@ mod tests {
     fn donate_offers_each_pending_job_once_and_keeps_it_queued() {
         let registry = DomainRegistry::builtin();
         let queue = JobQueue::new(&registry, None, QueueOptions::default(), None);
-        let a = queue.submit_deduped(spec("dp", 1)).unwrap();
-        let b = queue.submit_deduped(spec("ff", 2)).unwrap();
+        let a = queue.submit_deduped(spec("dp", 1), None).unwrap();
+        let b = queue.submit_deduped(spec("ff", 2), None).unwrap();
         assert_eq!(queue.stealable(), 2);
         let stolen = queue.donate(1);
         assert_eq!(stolen.len(), 1);
@@ -1653,7 +1649,9 @@ mod tests {
                     // eviction churn.
                     let mut mine = Vec::new();
                     for i in 0..PER_THREAD {
-                        let sub = queue.submit_deduped(spec("no-such", t * 1000 + i)).unwrap();
+                        let sub = queue
+                            .submit_deduped(spec("no-such", t * 1000 + i), None)
+                            .unwrap();
                         mine.push(sub);
                         // Re-poll everything this thread submitted while
                         // evictions race: every answer must be a clean
@@ -1739,7 +1737,7 @@ mod tests {
         let mut registry = DomainRegistry::empty();
         registry.register(Box::new(BoomDomain));
         let queue = JobQueue::new(&registry, None, QueueOptions::default(), None);
-        let sub = queue.submit_deduped(spec("boom", 1)).unwrap();
+        let sub = queue.submit_deduped(spec("boom", 1), None).unwrap();
         // The worker survives the panic…
         queue.drain_worker();
         let view = queue.poll(sub.key).unwrap();
@@ -1751,7 +1749,7 @@ mod tests {
         assert!(message.contains("kaboom"), "{message}");
         assert_eq!(queue.active(), 0, "active gauge must not leak");
         // …and keeps working afterwards.
-        let ok = queue.submit_deduped(spec("boom", 2)).unwrap();
+        let ok = queue.submit_deduped(spec("boom", 2), None).unwrap();
         queue.drain_worker();
         assert_eq!(queue.poll(ok.key).unwrap().phase, JobPhase::Done);
     }
@@ -1780,7 +1778,7 @@ mod tests {
             assert_eq!(queue.recover(), 0, "fresh journal recovers nothing");
             [1u64, 2, 3]
                 .iter()
-                .map(|&s| queue.submit_deduped(spec("no-such", s)).unwrap().key)
+                .map(|&s| queue.submit_deduped(spec("no-such", s), None).unwrap().key)
                 .collect()
         };
 
@@ -1821,14 +1819,14 @@ mod tests {
             let queue = JobQueue::new(&registry, None, QueueOptions::default(), None)
                 .with_journal(Some(&journal));
             // One job runs to its (error) outcome…
-            let done = queue.submit_deduped(spec("no-such", 1)).unwrap();
+            let done = queue.submit_deduped(spec("no-such", 1), None).unwrap();
             queue.drain_worker();
             assert_eq!(queue.poll(done.key).unwrap().phase, JobPhase::Done);
             // …one is cancelled while queued…
-            let gone = queue.submit_deduped(spec("no-such", 2)).unwrap();
+            let gone = queue.submit_deduped(spec("no-such", 2), None).unwrap();
             assert_eq!(queue.cancel(gone.key), Some(JobPhase::Queued));
             // …and shutdown cancels the rest.
-            queue.submit_deduped(spec("no-such", 3)).unwrap();
+            queue.submit_deduped(spec("no-such", 3), None).unwrap();
             queue.shutdown();
         }
         let journal = JobJournal::open(&dir).unwrap();
@@ -1877,7 +1875,7 @@ mod tests {
             },
             None,
         );
-        let a = queue.submit_deduped(spec("no-such", 1)).unwrap();
+        let a = queue.submit_deduped(spec("no-such", 1), None).unwrap();
         queue.drain_worker();
         let evicted_seen = AtomicBool::new(false);
         let clean_done = AtomicBool::new(false);
@@ -1903,7 +1901,7 @@ mod tests {
                 }
             });
             // Evict `a` by completing a second job under retain_done: 1.
-            queue.submit_deduped(spec("no-such", 2)).unwrap();
+            queue.submit_deduped(spec("no-such", 2), None).unwrap();
             queue.drain_worker();
             // The tail must terminate on its own, promptly. (A done
             // stream read *before* the eviction landed is equally
@@ -1928,8 +1926,8 @@ mod tests {
     fn shutdown_cancels_queued_work() {
         let registry = DomainRegistry::builtin();
         let queue = JobQueue::new(&registry, None, QueueOptions::default(), None);
-        let a = queue.submit_deduped(spec("dp", 1)).unwrap();
-        let b = queue.submit_deduped(spec("ff", 2)).unwrap();
+        let a = queue.submit_deduped(spec("dp", 1), None).unwrap();
+        let b = queue.submit_deduped(spec("ff", 2), None).unwrap();
         queue.shutdown();
         assert!(queue.is_shutting_down());
         for sub in [a, b] {

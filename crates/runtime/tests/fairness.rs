@@ -159,7 +159,7 @@ fn run_two_tenant_queue(workers: usize) -> Vec<String> {
     ] {
         subs.push(
             queue
-                .submit_deduped_as(spec(seed), Some(tenant))
+                .submit_deduped(spec(seed), Some(tenant))
                 .expect("under capacity"),
         );
     }
@@ -203,20 +203,10 @@ fn queue_dispatch_interleaves_by_weight() {
     let mut heavy_ids = Vec::new();
     let mut light_ids = Vec::new();
     for seed in 0..6u64 {
-        heavy_ids.push(
-            queue
-                .submit_deduped_as(spec(seed), Some("heavy"))
-                .unwrap()
-                .id,
-        );
+        heavy_ids.push(queue.submit_deduped(spec(seed), Some("heavy")).unwrap().id);
     }
     for seed in 100..102u64 {
-        light_ids.push(
-            queue
-                .submit_deduped_as(spec(seed), Some("light"))
-                .unwrap()
-                .id,
-        );
+        light_ids.push(queue.submit_deduped(spec(seed), Some("light")).unwrap().id);
     }
     let order: Vec<(Option<String>, String)> = queue
         .pending_jobs()

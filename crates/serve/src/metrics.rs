@@ -117,27 +117,13 @@ impl ServerMetrics {
         }
     }
 
-    /// Assemble the report against the live queue (and store, when one is
-    /// attached).
-    pub fn report(&self, queue: &JobQueue<'_>, store: Option<&ResultStore>) -> MetricsReport {
-        self.report_with_mesh(queue, store, None)
-    }
-
-    /// [`ServerMetrics::report`] with the mesh gauges attached (shards
-    /// and gateways running under `xplain-mesh`).
-    pub fn report_with_mesh(
-        &self,
-        queue: &JobQueue<'_>,
-        store: Option<&ResultStore>,
-        mesh: Option<&MeshStatus>,
-    ) -> MetricsReport {
-        self.report_full(queue, store, mesh, None, None)
-    }
-
-    /// The full report: mesh gauges, write-ahead journal stats (a
-    /// server running with durability attaches its journal here), and —
-    /// when tenancy is enforcing — the per-tenant `tenants` block.
-    pub fn report_full(
+    /// Assemble the report against the live queue. Each attachment fills
+    /// its block (`null` without it): the store's entry count and bank
+    /// gauges, the mesh gauges (shards and gateways running under
+    /// `xplain-mesh`), the write-ahead journal stats (a server running
+    /// with durability). `tenants` — passed only when tenancy is
+    /// enforcing — adds the per-tenant `tenants` block, absent otherwise.
+    pub fn report(
         &self,
         queue: &JobQueue<'_>,
         store: Option<&ResultStore>,
@@ -343,7 +329,7 @@ mod tests {
         }
         metrics.observe("no-such-route", 9.0); // silently ignored
 
-        let report = metrics.report(&queue, None);
+        let report = metrics.report(&queue, None, None, None, None);
         assert_eq!(report.queue.depth, 0);
         assert_eq!(report.queue.active_sessions, 0);
         assert_eq!(report.queue.cache_hit_rate, 0.0);
@@ -374,7 +360,7 @@ mod tests {
         let store = xplain_runtime::ResultStore::new(&dir);
         let queue = JobQueue::new(&registry, Some(&store), QueueOptions::default(), None);
         let metrics = ServerMetrics::new();
-        let report = metrics.report(&queue, Some(&store));
+        let report = metrics.report(&queue, Some(&store), None, None, None);
         let bank = report.bank.as_ref().expect("bank block present");
         assert_eq!(bank.entries, 0);
         assert_eq!(bank.last_replay_pass, None);
@@ -393,7 +379,7 @@ mod tests {
         assert_eq!(mesh.jobs_stolen(), 5);
         assert_eq!(mesh.shard_id(), "shard-1");
 
-        let report = metrics.report_with_mesh(&queue, None, Some(&mesh));
+        let report = metrics.report(&queue, None, Some(&mesh), None, None);
         let m = report.mesh.as_ref().expect("mesh block present");
         assert_eq!(m.shard_id, "shard-1");
         assert_eq!(m.ring_epoch, 3);
@@ -414,11 +400,11 @@ mod tests {
 
         // Open mode: the key must be ABSENT, not null — byte-for-byte
         // compatibility with the pre-tenancy wire format.
-        let open = metrics.report_full(&queue, None, None, None, None);
+        let open = metrics.report(&queue, None, None, None, None);
         let json = serde_json::to_string(&open).unwrap();
         assert!(!json.contains("\"tenants\""), "{json}");
 
-        let report = metrics.report_full(
+        let report = metrics.report(
             &queue,
             None,
             None,

@@ -591,7 +591,7 @@ fn submit_job(ctx: &Ctx<'_>, request: &Request, tenant: Option<&str>) -> Respons
             ),
         );
     }
-    match ctx.queue.submit_deduped_as(spec, tenant) {
+    match ctx.queue.submit_deduped(spec, tenant) {
         Ok(sub) => {
             // `phase`, not `poll`: the hot cache-hit route must not
             // deep-clone a full outcome just to read one word.
@@ -708,7 +708,7 @@ fn steal(ctx: &Ctx<'_>, request: &Request) -> Response {
 
 fn metrics(ctx: &Ctx<'_>) -> Response {
     let tenants = ctx.tenants.enforcing().then(|| ctx.queue.tenant_counters());
-    let report = ctx.metrics.report_full(
+    let report = ctx.metrics.report(
         ctx.queue,
         ctx.store,
         ctx.mesh.as_deref(),
