@@ -54,7 +54,8 @@ fn bench_simplex(c: &mut Criterion) {
     group.finish();
 
     // The reference tableau on the same models, for the revised-vs-
-    // reference scaling picture (BENCH_6.json holds the summary numbers).
+    // reference scaling picture (`crates/analyzer/tests/solver_speed.rs`
+    // gates the revised engine's lead).
     let mut group = c.benchmark_group("simplex_reference");
     group.sample_size(20);
     for n in [10usize, 25, 50] {

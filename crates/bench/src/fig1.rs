@@ -23,6 +23,7 @@ pub struct Fig1Result {
     pub rows: Vec<Fig1Row>,
     pub dp_total: f64,
     pub opt_total: f64,
+    /// [`DemandPinning::gap`] at the Fig. 1a demands.
     pub gap: f64,
 }
 
@@ -30,7 +31,8 @@ pub struct Fig1Result {
 pub fn run() -> Fig1Result {
     let problem = TeProblem::fig1a();
     let volumes = [50.0, 100.0, 100.0];
-    let dp = DemandPinning::new(50.0)
+    let pinning = DemandPinning::new(50.0);
+    let dp = pinning
         .solve(&problem, &volumes)
         .expect("fig1a is feasible");
     let opt = problem.optimal(&volumes).expect("fig1a is feasible");
@@ -63,7 +65,7 @@ pub fn run() -> Fig1Result {
         rows,
         dp_total: dp.total,
         opt_total: opt.total,
-        gap: opt.total - dp.total,
+        gap: pinning.gap(&problem, &volumes).expect("fig1a is feasible"),
     }
 }
 
@@ -107,6 +109,17 @@ mod tests {
         let d12 = &r.rows[1];
         assert_eq!(d12.dp_value.round() as i64, 50);
         assert_eq!(d12.opt_value.round() as i64, 100);
+    }
+
+    #[test]
+    fn gap_is_the_demand_pinning_gap() {
+        // The gap column is `DemandPinning::gap` (OPT's stage-1 total minus
+        // DP's), not the difference of the two allocations' vertex sums.
+        let gap = DemandPinning::new(50.0)
+            .gap(&TeProblem::fig1a(), &[50.0, 100.0, 100.0])
+            .unwrap();
+        let r = run();
+        assert_eq!(r.gap.to_bits(), gap.to_bits(), "{} vs {gap}", r.gap);
     }
 
     #[test]

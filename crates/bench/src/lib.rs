@@ -27,32 +27,21 @@
 //! thresholds, heuristic variants).
 //!
 //! `cargo run -p xplain-bench --release --bin repro -- all` regenerates
-//! everything; `cargo bench` runs the Criterion timing benches; `cargo
-//! run -p xplain-bench --release --bin bench` runs the solver benchmark
-//! ([`solver_bench`]) and emits `BENCH_6.json` (revised-vs-reference
-//! timings, B&B node counts, E7 pipeline time); `cargo run -p
-//! xplain-bench --release --bin serve-bench` runs the serving-layer load
-//! generator ([`serve_load`]) and emits `BENCH_5.json` (cold vs
-//! cache-hit vs streaming requests/sec and p50/p99 latency over
-//! loopback HTTP); `cargo run -p xplain-bench --release --bin
-//! mesh-bench` runs the sharded-tier scaling benchmark ([`mesh_load`])
-//! and emits `BENCH_7.json` (cold-job throughput at 1 vs 4 shards
-//! through the gateway); `cargo run -p xplain-bench --release --bin
-//! fairness-bench` runs the multi-tenant fairness benchmark
-//! ([`fairness_load`]) and emits `BENCH_10.json` (the light tenant's
-//! completion-latency p99 under a 10:1 heavy-tenant flood vs
-//! isolation).
+//! everything, and `cargo bench -p xplain-bench` runs the Criterion
+//! timing benches. The crate has one binary, `repro`.
+//!
+//! The end-to-end benchmark of the served stack is `perfbench/` at the
+//! repo root (`BENCHMARK.json`). The solver speed gates are
+//! `crates/analyzer/tests/solver_speed.rs`, and the paced mesh-scaling
+//! and tenant-fairness gates are `crates/mesh/tests/paced_scaling.rs`
+//! and `crates/serve/tests/paced_fairness.rs`.
 
 pub mod ablations;
 pub mod appendix_a;
-pub mod fairness_load;
 pub mod fig1;
 pub mod fig4;
 pub mod fig5;
 pub mod generalize;
-pub mod mesh_load;
 pub mod pipeline_time;
-pub mod serve_load;
-pub mod solver_bench;
 pub mod speedup;
 pub mod vbp_examples;

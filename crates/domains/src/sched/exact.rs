@@ -13,7 +13,7 @@
 
 use crate::sched::instance::{SchedInstance, Schedule};
 use crate::sched::lpt::lpt;
-use xplain_lp::{milp, Cmp, LinExpr, LpError, Model, Sense, VarType};
+use xplain_lp::{milp, Cmp, LinExpr, LpError, Model, Sense, VarId, VarType};
 
 const TOL: f64 = 1e-9;
 
@@ -108,24 +108,18 @@ pub fn optimal(inst: &SchedInstance) -> Schedule {
     best
 }
 
-/// MILP formulation (cross-check for [`optimal`]): binaries `x[i][j]`
-/// (job i on machine j), continuous makespan `C >= load_j`; job 0 is
-/// pinned to machine 0 to break machine symmetry.
+/// MILP formulation (cross-check for [`optimal`]), built by
+/// [`milp_model`].
 pub fn optimal_milp(inst: &SchedInstance) -> Result<Schedule, LpError> {
     optimal_milp_stats(inst).map(|(s, _)| s)
 }
 
-/// [`optimal_milp`] plus branch-and-bound work counters — the regression
-/// tests pin node counts on these encodings so a warm-start bug that
-/// silently explores extra nodes fails CI instead of just running slower.
-pub fn optimal_milp_stats(inst: &SchedInstance) -> Result<(Schedule, milp::MilpStats), LpError> {
+/// The assignment MILP: binaries `x[i][j]` (job i on machine j) and a
+/// continuous makespan `C >= load_j` to minimize; job 0 is pinned to
+/// machine 0 to break machine symmetry. Returns the model and the `x`
+/// grid. The instance must have at least one job.
+pub fn milp_model(inst: &SchedInstance) -> (Model, Vec<Vec<VarId>>) {
     let n = inst.num_jobs();
-    if n == 0 {
-        return Ok((
-            Schedule::from_assignment(inst, Vec::new()),
-            milp::MilpStats::default(),
-        ));
-    }
     let m_count = inst.machines;
     let total: f64 = inst.jobs.iter().sum();
 
@@ -158,11 +152,26 @@ pub fn optimal_milp_stats(inst: &SchedInstance) -> Result<(Schedule, milp::MilpS
     // Symmetry breaking: job 0 runs on machine 0.
     m.add_constr("sym", LinExpr::term(x[0][0], 1.0), Cmp::Eq, 1.0);
     m.set_objective(LinExpr::term(c, 1.0));
+    (m, x)
+}
+
+/// [`optimal_milp`] plus branch-and-bound work counters — the regression
+/// tests pin node counts on these encodings so a warm-start bug that
+/// silently explores extra nodes fails CI instead of just running slower.
+pub fn optimal_milp_stats(inst: &SchedInstance) -> Result<(Schedule, milp::MilpStats), LpError> {
+    let n = inst.num_jobs();
+    if n == 0 {
+        return Ok((
+            Schedule::from_assignment(inst, Vec::new()),
+            milp::MilpStats::default(),
+        ));
+    }
+    let (m, x) = milp_model(inst);
     let (sol, stats) = milp::solve_with(&m, milp::Backend::Revised)?;
 
     let mut assignment = vec![0usize; n];
     for i in 0..n {
-        for j in 0..m_count {
+        for j in 0..inst.machines {
             if sol.value(x[i][j]) > 0.5 {
                 assignment[i] = j;
                 break;

@@ -19,6 +19,6 @@ pub mod instance;
 pub mod lpt;
 
 pub use dsl::{canonical_machine_slots, SchedDsl};
-pub use exact::{optimal, optimal_milp, optimal_milp_stats};
+pub use exact::{milp_model, optimal, optimal_milp, optimal_milp_stats};
 pub use instance::{SchedInstance, Schedule};
 pub use lpt::{list_schedule, lpt, lpt_capped};

@@ -37,12 +37,10 @@
 //!   session per shape (the lexicographic max-flow's two stages do).
 //! * **Prepared re-solves.** [`Prepared`] standardizes a model once;
 //!   [`SolverSession::solve_prepared`] then re-solves after in-place
-//!   bound/rhs edits without touching the `Model` at all, and
-//!   [`SolverSession::solve_batch`] amortizes one warm factorization
-//!   across a whole probe batch. The contract: a prepared solve is
-//!   *byte-for-byte identical* to materializing the edited model and
-//!   calling [`SolverSession::solve_unchecked`] — same standardized data,
-//!   same pivots, same bits out.
+//!   bound/rhs edits without touching the `Model` at all. The contract:
+//!   a prepared solve is *byte-for-byte identical* to materializing the
+//!   edited model and calling [`SolverSession::solve_unchecked`] — same
+//!   standardized data, same pivots, same bits out.
 //! * **Allocation-free re-solves.** A session owns a workspace holding
 //!   every buffer the core works in (statuses, basis, basic values,
 //!   reduced costs, devex weights, ftran/btran scratch, artificials, the
@@ -310,17 +308,6 @@ impl Prepared {
     }
 }
 
-/// One bound/rhs perturbation of a [`Prepared`] base model, for
-/// [`SolverSession::solve_batch`]. Each probe is applied *relative to the
-/// base* (not cumulatively) and reverted after its solve.
-#[derive(Debug, Clone, Default)]
-pub struct Probe {
-    /// `(var, lo, hi)` bound overrides.
-    pub bounds: Vec<(VarId, f64, f64)>,
-    /// `(row, rhs)` right-hand-side overrides (model-space).
-    pub rhs: Vec<(usize, f64)>,
-}
-
 /// Which solve the basis held in a session's [`Workspace`] came from: it
 /// is reusable when the next model has the same `(vars, constraints)`
 /// shape, and its factorization only while the matrix fingerprint matches.
@@ -406,46 +393,6 @@ impl SolverSession {
             prep.feas_tol,
             prep.opt_tol,
         )
-    }
-
-    /// Solve a batch of probes against `prep`'s base state, amortizing one
-    /// warm factorization across the whole batch.
-    ///
-    /// Each probe's edits are applied to the base, solved, and reverted,
-    /// so probes are independent perturbations (not a cumulative chain).
-    /// Result `i` is byte-for-byte what `solve_prepared` would return had
-    /// probe `i`'s edits been applied by hand at that point in this
-    /// session's history.
-    pub fn solve_batch(
-        &mut self,
-        prep: &mut Prepared,
-        probes: &[Probe],
-    ) -> Vec<Result<Solution, LpError>> {
-        let mut out = Vec::with_capacity(probes.len());
-        let mut bound_undo: Vec<(usize, f64, f64)> = Vec::new();
-        let mut rhs_undo: Vec<(usize, f64)> = Vec::new();
-        for probe in probes {
-            bound_undo.clear();
-            rhs_undo.clear();
-            for &(v, lo, hi) in &probe.bounds {
-                let ix = v.index();
-                bound_undo.push((ix, prep.lp.lo[ix], prep.lp.hi[ix]));
-                prep.set_var_bounds(v, lo, hi);
-            }
-            for &(row, rhs) in &probe.rhs {
-                rhs_undo.push((row, prep.lp.b[row]));
-                prep.set_rhs(row, rhs);
-            }
-            out.push(self.solve_prepared(prep));
-            for &(row, b) in rhs_undo.iter().rev() {
-                prep.lp.b[row] = b;
-            }
-            for &(ix, lo, hi) in bound_undo.iter().rev() {
-                prep.lp.lo[ix] = lo;
-                prep.lp.hi[ix] = hi;
-            }
-        }
-        out
     }
 
     /// The shared solve path: every route into the core — model-based or
@@ -1817,33 +1764,5 @@ mod tests {
         assert_eq!(prep.var_bounds(x), (0.0, 1.0));
         let s2 = SolverSession::new().solve_prepared(&prep).unwrap();
         assert_close(s2.objective, 1.0);
-    }
-
-    #[test]
-    fn batch_probes_are_independent_and_restore_base() {
-        let base = flow_model(50.0, 100.0, 120.0);
-        let mut prep = Prepared::new(&base).unwrap();
-        let mut session = SolverSession::new();
-        let probes = vec![
-            Probe {
-                rhs: vec![(0, 10.0)],
-                ..Probe::default()
-            },
-            Probe {
-                rhs: vec![(1, 20.0)],
-                ..Probe::default()
-            },
-            Probe::default(), // the base itself
-        ];
-        let out = session.solve_batch(&mut prep, &probes);
-        assert_close(out[0].as_ref().unwrap().objective, 110.0); // 10 + 100
-        assert_close(out[1].as_ref().unwrap().objective, 70.0); // 50 + 20
-        assert_close(out[2].as_ref().unwrap().objective, 120.0); // base
-                                                                 // Base state restored after the batch.
-        assert_close(prep.rhs(0), 50.0);
-        assert_close(prep.rhs(1), 100.0);
-        // One factorization amortized across the batch.
-        assert_eq!(session.stats.cold_starts, 1);
-        assert_eq!(session.stats.warm_hits, 2);
     }
 }

@@ -586,90 +586,3 @@ fn warm_equals_cold_across_256_bound_deltas() {
         session.stats
     );
 }
-
-/// The batched re-solve contract: `solve_batch` over N probes returns
-/// bit-identical solutions to applying each probe by hand and issuing N
-/// separate `solve_prepared` calls through an identically warmed session —
-/// the batch API amortizes, it never diverges.
-#[test]
-fn batched_resolves_match_independent_solves_bitwise() {
-    use xplain_lp::{Prepared, Probe, VarId};
-
-    let mut m = Model::new(Sense::Maximize);
-    let vars: Vec<_> = (0..5)
-        .map(|i| m.add_var(format!("v{i}"), VarType::Continuous, 0.0, 6.0))
-        .collect();
-    let coefs = [
-        [1.0, 1.0, 2.0, 0.0, 1.0],
-        [2.0, 1.0, 0.0, 1.0, 1.0],
-        [1.0, 0.0, 1.0, 2.0, 0.0],
-    ];
-    for (r, row) in coefs.iter().enumerate() {
-        let mut e = LinExpr::new();
-        for (i, &v) in vars.iter().enumerate() {
-            if row[i] != 0.0 {
-                e.add_term(v, row[i]);
-            }
-        }
-        m.add_constr(format!("c{r}"), e, Cmp::Le, 10.0);
-    }
-    let mut o = LinExpr::new();
-    for (i, &v) in vars.iter().enumerate() {
-        o.add_term(v, 1.0 + i as f64 * 0.5);
-    }
-    m.set_objective(o);
-
-    let mut rng = Lcg(0x2545f4914f6cdd1d);
-    let probes: Vec<Probe> = (0..32)
-        .map(|_| {
-            let mut p = Probe::default();
-            for _ in 0..rng.pick(3) {
-                let ix = rng.pick(5);
-                let lo = rng.pick(5) as f64 * 0.5;
-                p.bounds.push((VarId::from_index(ix), lo, lo + 2.0));
-            }
-            for _ in 0..rng.pick(3) {
-                p.rhs.push((rng.pick(3), 4.0 + rng.pick(12) as f64));
-            }
-            p
-        })
-        .collect();
-
-    // Path A: the batch API.
-    let mut prep_a = Prepared::new(&m).unwrap();
-    let mut session_a = SolverSession::new();
-    let batch = session_a.solve_batch(&mut prep_a, &probes);
-
-    // Path B: by-hand probe application, one solve_prepared per probe.
-    let base = Prepared::new(&m).unwrap();
-    let mut session_b = SolverSession::new();
-    for (probe, from_batch) in probes.iter().zip(&batch) {
-        let mut prep = base.clone();
-        for &(v, lo, hi) in &probe.bounds {
-            prep.set_var_bounds(v, lo, hi);
-        }
-        for &(row, rhs) in &probe.rhs {
-            prep.set_rhs(row, rhs);
-        }
-        let single = session_b.solve_prepared(&prep);
-        match (from_batch, &single) {
-            (Ok(a), Ok(b)) => {
-                assert_eq!(a.objective.to_bits(), b.objective.to_bits());
-                assert_eq!(a.values.len(), b.values.len());
-                for (x, y) in a.values.iter().zip(&b.values) {
-                    assert_eq!(x.to_bits(), y.to_bits());
-                }
-            }
-            (Err(a), Err(b)) => assert_eq!(a, b),
-            (a, b) => panic!("batch {a:?} diverged from independent {b:?}"),
-        }
-    }
-    assert_eq!(session_a.stats, session_b.stats);
-    // The base prepared LP must come back untouched from the batch.
-    for (i, &v) in vars.iter().enumerate() {
-        assert_eq!(prep_a.var_bounds(v), base.var_bounds(vars[i]));
-    }
-    for r in 0..3 {
-        assert_eq!(prep_a.rhs(r).to_bits(), base.rhs(r).to_bits());
-    }
-}

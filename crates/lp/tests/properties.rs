@@ -6,16 +6,12 @@
 //!   can construct by sampling;
 //! * the sparse-factorization revised engine agrees with the reference
 //!   tableau on random models;
-//! * a probe batch equals the same probes solved independently,
-//!   byte-for-byte;
 //! * the MILP optimum matches brute-force enumeration on small binary
 //!   models;
 //! * the LP relaxation bound dominates the MILP optimum.
 
 use proptest::prelude::*;
-use xplain_lp::{
-    simplex, Cmp, LinExpr, LpError, Model, Prepared, Probe, Sense, SolverSession, VarType,
-};
+use xplain_lp::{simplex, Cmp, LinExpr, LpError, Model, Sense, VarType};
 
 /// Build a random bounded LP: n vars in [0, ub], m "<=" constraints with
 /// nonnegative coefficients (always feasible at the origin, never unbounded
@@ -107,58 +103,6 @@ proptest! {
             "revised point infeasible: {:?}", m.check_feasible(&revised.values, 1e-6));
     }
 
-    #[test]
-    fn batched_probes_match_independent_prepared_solves(
-        n in 1usize..5,
-        mrows in 1usize..4,
-        seedcoefs in proptest::collection::vec(0.0f64..3.0, 24),
-        rhs in proptest::collection::vec(0.5f64..10.0, 3),
-        obj in proptest::collection::vec(-2.0f64..4.0, 4),
-        probe_rhs in proptest::collection::vec(0.5f64..10.0, 18),
-        probe_ub in proptest::collection::vec(0.5f64..5.0, 24),
-    ) {
-        // `solve_batch` must be indistinguishable — bit for bit — from
-        // applying each probe's deltas by hand and solving through a
-        // session with the same warm history.
-        let coefs: Vec<Vec<f64>> = (0..mrows)
-            .map(|k| (0..n).map(|i| seedcoefs[k * 6 + i]).collect())
-            .collect();
-        let (m, vars) = bounded_lp(n, &coefs, &rhs, &obj[..n], 5.0);
-        let base = Prepared::new(&m).expect("valid model");
-        let probes: Vec<Probe> = (0..6)
-            .map(|p| Probe {
-                rhs: (0..mrows).map(|k| (k, probe_rhs[p * mrows + k])).collect(),
-                bounds: vec![(vars[p % n], 0.0, probe_ub[p * n % probe_ub.len()])],
-            })
-            .collect();
-
-        let mut prep = base.clone();
-        let mut session_a = SolverSession::new();
-        let batch = session_a.solve_batch(&mut prep, &probes);
-
-        let mut session_b = SolverSession::new();
-        for (probe, out) in probes.iter().zip(&batch) {
-            let mut edited = base.clone();
-            for &(v, lo, hi) in &probe.bounds { edited.set_var_bounds(v, lo, hi); }
-            for &(row, v) in &probe.rhs { edited.set_rhs(row, v); }
-            let independent = session_b.solve_prepared(&edited);
-            match (out, &independent) {
-                (Ok(a), Ok(b)) => {
-                    prop_assert_eq!(a.objective.to_bits(), b.objective.to_bits(),
-                        "objective bits differ: {} vs {}", a.objective, b.objective);
-                    prop_assert_eq!(a.values.len(), b.values.len());
-                    for (x, y) in a.values.iter().zip(&b.values) {
-                        prop_assert_eq!(x.to_bits(), y.to_bits(),
-                            "value bits differ: {} vs {}", x, y);
-                    }
-                }
-                (Err(ea), Err(eb)) => prop_assert_eq!(ea, eb),
-                (a, b) => prop_assert!(false, "batch {:?} vs independent {:?}", a, b),
-            }
-        }
-        // The batch must leave the prepared model as it found it.
-        prop_assert_eq!(prep.rhs(0).to_bits(), base.rhs(0).to_bits());
-    }
 
     #[test]
     fn milp_matches_brute_force_binary(

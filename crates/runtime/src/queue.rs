@@ -82,7 +82,8 @@ pub struct QueueOptions {
     /// overload protection: it caps a shard's job throughput at
     /// `workers × 1000/pace_ms` regardless of how cheap individual jobs
     /// are, which also makes per-shard capacity machine-independent —
-    /// the property the mesh scaling bench (`mesh-bench`) relies on.
+    /// the property the mesh scaling gate
+    /// (`crates/mesh/tests/paced_scaling.rs`) relies on.
     /// Batch workers ([`JobQueue::drain_worker`]) never pace.
     pub pace_ms: u64,
 }

@@ -1,10 +1,9 @@
 //! A minimal blocking HTTP/1.1 client for the serve API.
 //!
-//! Exists so the e2e tests, the CI smoke, and the `xplain-bench` load
-//! generator share one loopback client instead of three hand-rolled
-//! socket readers (and so operators get a scriptable client without
-//! installing anything — the README's `curl` examples map 1:1 onto
-//! these calls). Speaks exactly what the server emits: fixed-length
+//! Exists so the e2e tests, the CI smoke, and perfbench share one
+//! loopback client instead of three hand-rolled socket readers (and so
+//! operators get a scriptable client without installing anything — the
+//! README's `curl` examples map 1:1 onto these calls). Speaks exactly what the server emits: fixed-length
 //! bodies via `Content-Length` and chunked NDJSON streams, one request
 //! per connection.
 

@@ -199,7 +199,7 @@ impl Server {
 
     /// Serve until shutdown is requested, then drain gracefully. Blocks
     /// the calling thread (spawn it if you need the handle elsewhere —
-    /// the e2e tests and the load generator do exactly that).
+    /// the e2e tests and perfbench do exactly that).
     pub fn run(self, registry: &DomainRegistry) -> io::Result<()> {
         // Load the tenant registry first: a malformed config is a
         // startup error (serving with the wrong quota table is worse

@@ -1,6 +1,6 @@
 //! Wire-format conformance: pins the HTTP surface other processes
-//! build against — the mesh gateway, the work stealer, `mesh-bench`,
-//! and any out-of-tree client.
+//! build against — the mesh gateway, the work stealer, perfbench, and
+//! any out-of-tree client.
 //!
 //! Everything here is intentionally brittle: exact status codes, exact
 //! JSON key lists **in serialization order**, exact NDJSON chunked

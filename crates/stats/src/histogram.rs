@@ -4,9 +4,9 @@
 //! storing every sample would grow without bound on a long-lived server,
 //! so observations land in logarithmically spaced buckets instead —
 //! constant memory, and quantile estimates whose relative error is
-//! bounded by the bucket growth factor. The same structure backs the
-//! load generator's offline reports, where exact percentiles over the
-//! raw samples remain preferable; [`percentile_exact`] covers that case.
+//! bounded by the bucket growth factor. Offline reports (perfbench, the
+//! paced fairness test) prefer exact percentiles over the raw samples;
+//! [`percentile_exact`] covers that case.
 //!
 //! Everything here is deterministic and single-threaded; concurrent
 //! recorders wrap a [`Histogram`] in a mutex (one `record` is a handful
@@ -171,8 +171,8 @@ impl Histogram {
 
 /// Exact percentile over raw samples (nearest-rank with linear
 /// interpolation, the "type 7" estimator spreadsheets use). For offline
-/// reports where the full sample set is at hand — the load generator's
-/// p50/p99 come from here, not from bucket interpolation. `None` when
+/// reports where the full sample set is at hand — perfbench's
+/// percentiles come from here, not from bucket interpolation. `None` when
 /// empty.
 pub fn percentile_exact(samples: &[f64], q: f64) -> Option<f64> {
     if samples.is_empty() {
