@@ -1,9 +1,11 @@
-//! The mesh gateway: one HTTP front that makes N `xplain-serve` shards
-//! look like a single logical explanation server.
+//! The mesh gateway: the routes that make N `xplain-serve` shards look
+//! like a single logical explanation server.
 //!
-//! The gateway terminates the same API the shards speak (same routes,
-//! same JSON, same NDJSON event stream) and *proxies* rather than
-//! reimplements: a submitted `JobSpec` is hashed exactly the way every
+//! The gateway runs the shards' own HTTP front ([`xplain_serve::front`]:
+//! listener, accept loop, handler pool, authentication, and the answers
+//! to unreadable, unknown and wrong-method requests), so it terminates
+//! the same API the shards speak (same routes, same JSON, same NDJSON
+//! event stream) and *proxies* rather than reimplements: a submitted `JobSpec` is hashed exactly the way every
 //! shard hashes it (`JobQueue::job_key`, index 0), the rendezvous ring
 //! picks the owning shard under the current membership view, and the
 //! request is forwarded verbatim. Because content keys — not queue
@@ -26,9 +28,9 @@
 //! stream it did not see end.
 //!
 //! With a tenant registry configured ([`GatewayConfig::tenants`]) the
-//! gateway is the tier's *authentication edge*: it terminates
-//! `Authorization: Bearer` exactly like a standalone shard (401
-//! malformed/missing, 403 unknown), forwards the authenticated tenant
+//! gateway is the tier's *authentication edge*: the front terminates
+//! `Authorization: Bearer` through the same `authenticate` a standalone
+//! shard runs (401 malformed/missing, 403 unknown), and the gateway forwards the authenticated tenant
 //! id upstream via the trusted `X-Xplain-Tenant` header, and reports
 //! per-tenant edge counters in its own `/v1/metrics`. Shards are
 //! assumed to sit on a private network behind the gateway (DESIGN.md
@@ -37,20 +39,17 @@
 
 use std::collections::BTreeMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use serde::Serialize;
 use xplain_runtime::{JobQueue, JobSpec, TenantRegistry};
-use xplain_serve::http::{
-    finish_chunked, read_request, start_chunked, write_chunk, HttpError, Request, Response,
-};
-use xplain_serve::router::{route, Route, RouteError};
-use xplain_serve::{Client, MeshReport, MeshStatus};
+use xplain_serve::front::{unattributed, Front, FrontHandle, Service};
+use xplain_serve::http::{finish_chunked, start_chunked, write_line, Request, Response};
+use xplain_serve::{Client, EventStream, HttpResponse, MeshReport, MeshStatus, Route};
 
 use crate::membership::{Membership, Peer, PeerState};
 use crate::ring;
@@ -65,7 +64,8 @@ pub struct GatewayConfig {
     /// Connection handler threads; a streaming watcher occupies one for
     /// the life of its job.
     pub http_threads: usize,
-    /// Client-facing socket read timeout.
+    /// Time budget for reading one whole client request (head and
+    /// body); a client that runs it out gets 408.
     pub read_timeout: Duration,
     /// Upstream timeout for unary proxy calls.
     pub upstream_timeout: Duration,
@@ -105,40 +105,12 @@ impl Default for GatewayConfig {
 
 /// A bound-but-not-yet-running gateway.
 pub struct Gateway {
-    listener: TcpListener,
+    front: Front,
     config: GatewayConfig,
-    local_addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
 }
 
 /// Remote control for a running [`Gateway`] (cloneable, thread-safe).
-#[derive(Clone)]
-pub struct GatewayHandle {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-}
-
-impl GatewayHandle {
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Request graceful shutdown (idempotent).
-    pub fn shutdown(&self) {
-        request_shutdown(&self.shutdown, self.addr);
-    }
-}
-
-/// Flag shutdown and poke the blocking accept loop awake with one
-/// throwaway loopback connection (same idiom as the serve layer).
-fn request_shutdown(flag: &AtomicBool, addr: SocketAddr) {
-    flag.store(true, Ordering::Relaxed);
-    for timeout_ms in [200, 1000] {
-        if TcpStream::connect_timeout(&addr, Duration::from_millis(timeout_ms)).is_ok() {
-            break;
-        }
-    }
-}
+pub type GatewayHandle = FrontHandle;
 
 impl Gateway {
     /// Bind the listening socket (fails fast on bad addresses or an
@@ -150,25 +122,18 @@ impl Gateway {
                 "gateway needs at least one peer",
             ));
         }
-        let listener = TcpListener::bind(&config.addr)?;
-        let local_addr = listener.local_addr()?;
         Ok(Gateway {
-            listener,
+            front: Front::bind(&config.addr)?,
             config,
-            local_addr,
-            shutdown: Arc::new(AtomicBool::new(false)),
         })
     }
 
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.front.local_addr()
     }
 
     pub fn handle(&self) -> GatewayHandle {
-        GatewayHandle {
-            addr: self.local_addr,
-            shutdown: Arc::clone(&self.shutdown),
-        }
+        self.front.handle()
     }
 
     /// Serve until shutdown, then stop the heartbeat and return. Blocks
@@ -195,44 +160,16 @@ impl Gateway {
             config: &self.config,
             tenants: &tenants,
             tenant_stats: &tenant_stats,
-            shutdown: &self.shutdown,
-            addr: self.local_addr,
+            front: self.front.handle(),
             started: Instant::now(),
         };
-        let (conn_tx, conn_rx) = mpsc::channel::<TcpStream>();
-        let conn_rx = Mutex::new(conn_rx);
-
         std::thread::scope(|scope| {
-            for _ in 0..self.config.http_threads.max(1) {
-                scope.spawn(|| loop {
-                    let next = conn_rx
-                        .lock()
-                        .expect("connection channel")
-                        .recv_timeout(Duration::from_millis(100));
-                    match next {
-                        Ok(stream) => handle_connection(stream, &ctx),
-                        Err(RecvTimeoutError::Timeout) => continue,
-                        Err(RecvTimeoutError::Disconnected) => break,
-                    }
-                });
-            }
-            loop {
-                match self.listener.accept() {
-                    Ok((stream, _)) => {
-                        if self.shutdown.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let _ = conn_tx.send(stream);
-                    }
-                    Err(_) => {
-                        if self.shutdown.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                }
-            }
-            drop(conn_tx);
+            self.front.serve(
+                scope,
+                &ctx,
+                self.config.http_threads,
+                self.config.read_timeout,
+            )
         });
         hb_stop.store(true, Ordering::Relaxed);
         heartbeat.join().expect("heartbeat thread joins");
@@ -248,8 +185,7 @@ struct GatewayCtx<'a> {
     /// Per-tenant edge counters (submits relayed/rejected *through this
     /// gateway* — shard metrics count the authoritative queue view).
     tenant_stats: &'a Mutex<BTreeMap<String, GatewayTenantStats>>,
-    shutdown: &'a AtomicBool,
-    addr: SocketAddr,
+    front: FrontHandle,
     started: Instant,
 }
 
@@ -257,94 +193,6 @@ struct GatewayCtx<'a> {
 struct GatewayTenantStats {
     submitted: u64,
     rejected: u64,
-}
-
-/// Resolve the caller's tenant identity — the same contract as the
-/// serve layer's `authenticate` so a client cannot tell whether it hit
-/// a shard or the gateway. Open mode: `Ok(None)`, headers ignored.
-/// Enforcing: `Bearer` keys checked against the registry (401
-/// malformed, 403 unknown — on every route); `X-Xplain-Tenant` is
-/// honored as trusted forwarding (another gateway in front of this
-/// one); neither header is `Ok(None)`, and attribution-requiring
-/// routes (submit, tune) answer 401 downstream.
-fn authenticate(ctx: &GatewayCtx<'_>, request: &Request) -> Result<Option<String>, Box<Response>> {
-    if !ctx.tenants.enforcing() {
-        return Ok(None);
-    }
-    if let Some(value) = request.header("authorization") {
-        let key = match value.split_once(' ') {
-            Some((scheme, rest)) if scheme.eq_ignore_ascii_case("bearer") => rest.trim(),
-            _ => {
-                return Err(Box::new(Response::error(
-                    401,
-                    "malformed Authorization header (expected 'Bearer <api-key>')",
-                )))
-            }
-        };
-        return match ctx.tenants.authenticate(key) {
-            Some(tenant) => Ok(Some(tenant.id.clone())),
-            None => Err(Box::new(Response::error(403, "unknown API key"))),
-        };
-    }
-    if let Some(id) = request.header("x-xplain-tenant") {
-        return match ctx.tenants.lookup(id) {
-            Some(tenant) => Ok(Some(tenant.id.clone())),
-            None => Err(Box::new(Response::error(
-                403,
-                &format!("unknown tenant id '{id}'"),
-            ))),
-        };
-    }
-    Ok(None)
-}
-
-fn handle_connection(mut stream: TcpStream, ctx: &GatewayCtx<'_>) {
-    let _ = stream.set_read_timeout(Some(ctx.config.read_timeout));
-    let _ = stream.set_nodelay(true);
-    let request = match read_request(&mut stream) {
-        Ok(r) => r,
-        Err(HttpError::Closed) => return,
-        Err(HttpError::TooLarge) => {
-            let _ = Response::error(413, "request exceeds size caps").write_to(&mut stream);
-            return;
-        }
-        Err(HttpError::BadRequest(m)) => {
-            let _ = Response::error(400, &m).write_to(&mut stream);
-            return;
-        }
-        Err(HttpError::Io(_)) => {
-            let _ = Response::error(408, "timed out reading request").write_to(&mut stream);
-            return;
-        }
-    };
-    let tenant = match authenticate(ctx, &request) {
-        Ok(tenant) => tenant,
-        Err(response) => {
-            let _ = response.write_to(&mut stream);
-            return;
-        }
-    };
-    match route(&request.method, &request.path) {
-        Ok(Route::JobEvents(id)) => proxy_events(&mut stream, ctx, &id),
-        Ok(Route::Tune) => proxy_tune(&mut stream, ctx, &request, tenant.as_deref()),
-        Ok(r) => {
-            let response = dispatch(ctx, r, &request, tenant.as_deref());
-            let _ = response.write_to(&mut stream);
-        }
-        Err(RouteError::NotFound) => {
-            let _ = Response::error(404, "no such resource").write_to(&mut stream);
-        }
-        Err(RouteError::MethodNotAllowed { allowed }) => {
-            let _ = Response::error(405, "method not allowed")
-                .with_header("Allow", allowed)
-                .write_to(&mut stream);
-        }
-    }
-}
-
-#[derive(Debug, Serialize)]
-struct ShutdownBody {
-    shutting_down: bool,
 }
 
 /// The gateway's own `GET /v1/metrics` body: it holds no queue, so the
@@ -418,60 +266,72 @@ fn record_submit(ctx: &GatewayCtx<'_>, tenant: Option<&str>, accepted: bool) {
     }
 }
 
-fn dispatch(
-    ctx: &GatewayCtx<'_>,
-    route: Route,
-    request: &Request,
-    tenant: Option<&str>,
-) -> Response {
-    match route {
-        Route::SubmitJob => submit(ctx, request, tenant),
-        Route::JobStatus(id) => forward_by_id(ctx, &id, "GET", &format!("/v1/jobs/{id}")),
-        Route::CancelJob(id) => forward_by_id(ctx, &id, "POST", &format!("/v1/jobs/{id}/cancel")),
-        Route::Domains => forward_any(ctx, "/v1/domains"),
-        // The bank lives in the shared store, so any healthy shard
-        // answers identically; the query string rides along verbatim.
-        Route::Regressions => {
-            let target = if request.query.is_empty() {
-                "/v1/regressions".to_string()
-            } else {
-                format!("/v1/regressions?{}", request.query)
-            };
-            forward_any(ctx, &target)
+impl Service for GatewayCtx<'_> {
+    fn tenants(&self) -> &TenantRegistry {
+        self.tenants
+    }
+
+    fn serve(
+        &self,
+        stream: &mut TcpStream,
+        route: Route,
+        request: &Request,
+        tenant: Option<&str>,
+        _read_done: Instant,
+    ) {
+        let response = match route {
+            Route::SubmitJob => Some(submit(self, request, tenant)),
+            Route::JobStatus(id) => {
+                Some(forward_by_id(self, &id, "GET", &format!("/v1/jobs/{id}")))
+            }
+            Route::JobEvents(id) => proxy_events(stream, self, &id),
+            Route::CancelJob(id) => Some(forward_by_id(
+                self,
+                &id,
+                "POST",
+                &format!("/v1/jobs/{id}/cancel"),
+            )),
+            Route::Domains => Some(forward_any(self, "/v1/domains")),
+            // The bank lives in the shared store, so any healthy shard
+            // answers identically; the query string rides along verbatim.
+            Route::Regressions => {
+                let target = if request.query.is_empty() {
+                    "/v1/regressions".to_string()
+                } else {
+                    format!("/v1/regressions?{}", request.query)
+                };
+                Some(forward_any(self, &target))
+            }
+            Route::Metrics => {
+                let body = GatewayMetrics {
+                    uptime_ms: self.started.elapsed().as_millis() as u64,
+                    mesh: self.mesh.report(0),
+                    tenants: self.tenants.enforcing().then(|| tenant_reports(self)),
+                };
+                Some(Response::json(
+                    200,
+                    serde_json::to_string(&body).expect("body serializes"),
+                ))
+            }
+            Route::Tune => proxy_tune(stream, self, request, tenant),
+            Route::Shutdown => Some(self.front.shutdown_response()),
+            // The gateway holds no queue of its own; peers steal from
+            // shards directly.
+            Route::QueueInfo | Route::Steal => Some(Response::error(
+                404,
+                "the gateway holds no queue; address a shard directly",
+            )),
+        };
+        if let Some(response) = response {
+            let _ = response.write_to(stream);
         }
-        Route::Metrics => {
-            let body = GatewayMetrics {
-                uptime_ms: ctx.started.elapsed().as_millis() as u64,
-                mesh: ctx.mesh.report(0),
-                tenants: ctx.tenants.enforcing().then(|| tenant_reports(ctx)),
-            };
-            Response::json(200, serde_json::to_string(&body).expect("body serializes"))
-        }
-        Route::Shutdown => {
-            request_shutdown(ctx.shutdown, ctx.addr);
-            Response::json(
-                200,
-                serde_json::to_string(&ShutdownBody {
-                    shutting_down: true,
-                })
-                .expect("body serializes"),
-            )
-        }
-        // The gateway holds no queue of its own; peers steal from
-        // shards directly.
-        Route::QueueInfo | Route::Steal => {
-            Response::error(404, "the gateway holds no queue; address a shard directly")
-        }
-        // Streamed separately in `handle_connection`.
-        Route::JobEvents(_) => Response::error(500, "events route must stream"),
-        Route::Tune => Response::error(500, "tune route must stream"),
     }
 }
 
 /// Rebuild an upstream response for the client (body + status carried
 /// verbatim; `Retry-After` preserved so backpressure propagates through
 /// the gateway).
-fn relay(upstream: xplain_serve::HttpResponse) -> Response {
+fn relay(upstream: HttpResponse) -> Response {
     let mut response = Response::json(upstream.status, upstream.body.clone());
     if let Some(retry) = upstream.header("retry-after") {
         response = response.with_header("Retry-After", retry);
@@ -491,11 +351,8 @@ fn no_healthy() -> Response {
 /// tenant-scoped 429 (Retry-After computed from *that tenant's*
 /// backlog) relays through unchanged.
 fn submit(ctx: &GatewayCtx<'_>, request: &Request, tenant: Option<&str>) -> Response {
-    if ctx.tenants.enforcing() && tenant.is_none() {
-        return Response::error(
-            401,
-            "missing API key (send 'Authorization: Bearer <api-key>')",
-        );
+    if let Some(denied) = unattributed(ctx.tenants, tenant) {
+        return denied;
     }
     let body = match request.body_str() {
         Ok(b) => b,
@@ -586,29 +443,22 @@ fn upstream_client(ctx: &GatewayCtx<'_>, peer: &PeerState, tenant: Option<&str>)
 /// NDJSON bytes), then relay generation lines chunk-for-chunk.
 /// Buffered upstream errors are relayed with their status; 429/5xx
 /// fail over to the next shard, and `Retry-After` is preserved so
-/// backpressure propagates.
+/// backpressure propagates. Returns the answer to write when no stream
+/// started.
 fn proxy_tune(
     stream: &mut TcpStream,
     ctx: &GatewayCtx<'_>,
     request: &Request,
     tenant: Option<&str>,
-) {
+) -> Option<Response> {
     // Tuning mutates the shipped heuristic corpus — it attributes work
     // just like a submit, so the edge demands identity too.
-    if ctx.tenants.enforcing() && tenant.is_none() {
-        let _ = Response::error(
-            401,
-            "missing API key (send 'Authorization: Bearer <api-key>')",
-        )
-        .write_to(stream);
-        return;
+    if let Some(denied) = unattributed(ctx.tenants, tenant) {
+        return Some(denied);
     }
     let body = match request.body_str() {
         Ok(b) => b,
-        Err(e) => {
-            let _ = Response::error(400, &e.to_string()).write_to(stream);
-            return;
-        }
+        Err(e) => return Some(Response::error(400, &e.to_string())),
     };
     let view = ctx.membership.view();
     let mut last: Option<Response> = None;
@@ -618,66 +468,38 @@ fn proxy_tune(
             client = client.with_tenant(id);
         }
         match client.stream_post("/v1/tune", body) {
-            Ok((200, _headers, mut lines)) => {
-                if start_chunked(stream, 200, "application/x-ndjson").is_err() {
-                    return;
-                }
-                loop {
-                    match lines.next_line() {
-                        Ok(Some(line)) => {
-                            let mut payload = Vec::with_capacity(line.len() + 1);
-                            payload.extend_from_slice(line.as_bytes());
-                            payload.push(b'\n');
-                            if write_chunk(stream, &payload).is_err() {
-                                return; // client went away
-                            }
-                        }
-                        Ok(None) => {
-                            let _ = finish_chunked(stream);
-                            return;
-                        }
-                        // Upstream truncated mid-tune: propagate by
-                        // closing without a terminator.
-                        Err(_) => return,
-                    }
-                }
+            Ok((200, _headers, lines)) => {
+                relay_lines(stream, lines);
+                return None;
             }
             Ok((status, headers, mut rest)) => {
-                let upstream_body = rest
-                    .collect_lines()
-                    .map(|ls| ls.join("\n"))
-                    .unwrap_or_default();
-                let mut response = Response::json(status, upstream_body);
-                if let Some(retry) = headers
-                    .iter()
-                    .find(|(k, _)| k == "retry-after")
-                    .map(|(_, v)| v.as_str())
-                {
-                    response = response.with_header("Retry-After", retry);
-                }
+                let response = relay(HttpResponse {
+                    status,
+                    headers,
+                    body: rest
+                        .collect_lines()
+                        .map(|ls| ls.join("\n"))
+                        .unwrap_or_default(),
+                });
                 if status == 429 || status >= 500 {
                     last = Some(response); // fail over
                 } else {
-                    let _ = response.write_to(stream);
-                    return;
+                    return Some(response);
                 }
             }
             Err(_) => {} // unreachable mid-epoch; skip
         }
     }
-    let _ = last.unwrap_or_else(no_healthy).write_to(stream);
+    Some(last.unwrap_or_else(no_healthy))
 }
 
 /// `GET /v1/jobs/{id}/events`: open the upstream stream on the owning
 /// shard (failing over like any id-routed request), then relay NDJSON
-/// lines chunk-for-chunk as they arrive. A clean upstream end gets a
-/// clean chunked terminator; an upstream error mid-stream aborts the
-/// client connection *without* one, so truncation stays visible as
-/// truncation.
-fn proxy_events(stream: &mut TcpStream, ctx: &GatewayCtx<'_>, id: &str) {
+/// lines chunk-for-chunk as they arrive. Returns the answer to write
+/// when no stream started.
+fn proxy_events(stream: &mut TcpStream, ctx: &GatewayCtx<'_>, id: &str) -> Option<Response> {
     let Some(key) = JobQueue::parse_id(id) else {
-        let _ = Response::error(404, &format!("no job '{id}'")).write_to(stream);
-        return;
+        return Some(Response::error(404, &format!("no job '{id}'")));
     };
     let view = ctx.membership.view();
     let mut saw_404 = false;
@@ -686,40 +508,43 @@ fn proxy_events(stream: &mut TcpStream, ctx: &GatewayCtx<'_>, id: &str) {
         .filter(|p| p.healthy)
     {
         let client = Client::new(peer.peer.addr).with_timeout(ctx.config.stream_timeout);
-        let path = format!("/v1/jobs/{id}/events");
-        match client.stream(&path) {
-            Ok((200, mut events)) => {
-                if start_chunked(stream, 200, "application/x-ndjson").is_err() {
-                    return;
-                }
-                loop {
-                    match events.next_line() {
-                        Ok(Some(line)) => {
-                            let mut payload = Vec::with_capacity(line.len() + 1);
-                            payload.extend_from_slice(line.as_bytes());
-                            payload.push(b'\n');
-                            if write_chunk(stream, &payload).is_err() {
-                                return; // watcher went away
-                            }
-                        }
-                        Ok(None) => {
-                            let _ = finish_chunked(stream);
-                            return;
-                        }
-                        // Upstream truncated (shard died mid-stream):
-                        // propagate by closing without a terminator.
-                        Err(_) => return,
-                    }
-                }
+        match client.stream(&format!("/v1/jobs/{id}/events")) {
+            Ok((200, events)) => {
+                relay_lines(stream, events);
+                return None;
             }
             Ok((404, _)) => saw_404 = true,
             Ok((_, _)) | Err(_) => {}
         }
     }
-    let response = if saw_404 {
+    Some(if saw_404 {
         Response::error(404, &format!("no job '{id}'"))
     } else {
         no_healthy()
-    };
-    let _ = response.write_to(stream);
+    })
+}
+
+/// Relay an upstream 200 NDJSON stream to the client, one chunk per
+/// line, as the lines arrive. A clean upstream end gets a clean chunked
+/// terminator; an upstream error mid-stream (a shard dying) closes the
+/// client connection *without* one, so truncation stays visible as
+/// truncation.
+fn relay_lines(stream: &mut TcpStream, mut upstream: EventStream) {
+    if start_chunked(stream, 200, "application/x-ndjson").is_err() {
+        return;
+    }
+    loop {
+        match upstream.next_line() {
+            Ok(Some(line)) => {
+                if write_line(stream, &line).is_err() {
+                    return; // client went away
+                }
+            }
+            Ok(None) => {
+                let _ = finish_chunked(stream);
+                return;
+            }
+            Err(_) => return,
+        }
+    }
 }

@@ -23,10 +23,12 @@
 //!   immutable [`membership::View`]s. Routers capture one view per
 //!   request and never flip-flop mid-request; a one-peer list is the
 //!   honest single-node fallback.
-//! * [`gateway`] — the HTTP front. Speaks the exact serve API
-//!   (`POST /v1/jobs`, status, cancel, chunked NDJSON event streams) and
-//!   proxies each request to the owning shard, failing over down the
-//!   ring's preference list; 503 only when no shard is healthy.
+//! * [`gateway`] — the gateway's routes behind the shards' own HTTP
+//!   front (`xplain_serve::front`: listener, authentication, refusals).
+//!   Speaks the exact serve API (`POST /v1/jobs`, status, cancel,
+//!   chunked NDJSON event streams) and proxies each request to the
+//!   owning shard, failing over down the ring's preference list; 503
+//!   only when no shard is healthy.
 //! * [`steal`] — work stealing. Idle shards poll peers'
 //!   `GET /v1/queue`, pull *queued* (never in-flight) jobs via
 //!   `POST /v1/queue/steal`, and resubmit them locally; the victim keeps

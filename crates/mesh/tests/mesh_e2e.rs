@@ -19,6 +19,9 @@
 //!    peer; the victim's donated counter and the thief's stolen gauge
 //!    both move, all jobs complete, and every store entry carries its
 //!    computing shard's origin stamp.
+//! 5. **one front** — a shard and the gateway refuse requests that never
+//!    reach a route (unknown path, wrong method, oversized body or head,
+//!    garbage, truncated body) with byte-identical answers.
 //!
 //! Byte-equivalence tests (1, 2) run their shard processes *without*
 //! `--peers`, i.e. with no stealers: stealing deliberately moves work
@@ -30,7 +33,8 @@
 //! per-job counter deltas, so tests that solve in *this* process hold a
 //! file-wide mutex (same discipline as serve's `http_e2e`).
 
-use std::net::{SocketAddr, TcpListener};
+use std::io::{Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
@@ -47,6 +51,7 @@ use xplain_runtime::{
     run_manifest_opts, watch_line, DomainRegistry, JobOutcome, JobQueue, JobSpec, RunOptions,
     SessionBudgets, SessionEvent, TenantRegistry, WatchLine,
 };
+use xplain_serve::http::{MAX_BODY_BYTES, MAX_HEAD_BYTES};
 use xplain_serve::{Client, MeshStatus, Server, ServerConfig, ServerHandle};
 
 fn test_lock() -> MutexGuard<'static, ()> {
@@ -670,6 +675,72 @@ fn deeply_nested_submit_is_refused_and_the_mesh_keeps_serving() {
     assert_eq!(resp.status, 202, "{}", resp.body);
     let submit: SubmitResp = serde_json::from_str(&resp.body).unwrap();
     assert_eq!(wait_done(&proxied, &submit.id).status, "done");
+
+    gw.shutdown();
+    gw_join.join().unwrap();
+    shard.shutdown();
+    shard_join.join().unwrap();
+}
+
+/// Write `raw` on a fresh connection, half-close it, and read the
+/// whole answer.
+fn raw_exchange(addr: SocketAddr, raw: &[u8]) -> String {
+    let mut conn = TcpStream::connect(addr).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    conn.write_all(raw).unwrap();
+    conn.shutdown(Shutdown::Write).unwrap();
+    let mut answer = String::new();
+    conn.read_to_string(&mut answer).unwrap();
+    answer
+}
+
+/// A shard and the gateway share one HTTP front, so a request that never
+/// reaches a route gets the same answer, byte for byte, from either:
+/// status line, `Allow` header, and error body.
+#[test]
+fn shard_and_gateway_fronts_refuse_requests_identically() {
+    let (shard, shard_join) = start_inproc_shard(None, "front", 0, None);
+    let (gw, gw_join) = start_gateway(peers_of(&[shard.addr()]));
+
+    let long_head = format!(
+        "GET /v1/domains HTTP/1.1\r\nX-Pad: {}\r\n\r\n",
+        "y".repeat(MAX_HEAD_BYTES)
+    );
+    let cases: [(&str, Vec<u8>); 6] = [
+        ("HTTP/1.1 404 ", b"GET /v1/nope HTTP/1.1\r\n\r\n".to_vec()),
+        (
+            "HTTP/1.1 405 ",
+            b"GET /v1/shutdown HTTP/1.1\r\n\r\n".to_vec(),
+        ),
+        (
+            "HTTP/1.1 413 ",
+            format!(
+                "POST /v1/jobs HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+                MAX_BODY_BYTES + 1
+            )
+            .into_bytes(),
+        ),
+        ("HTTP/1.1 413 ", long_head.into_bytes()),
+        ("HTTP/1.1 400 ", b"NONSENSE\r\n\r\n".to_vec()),
+        (
+            "HTTP/1.1 400 ",
+            b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc".to_vec(),
+        ),
+    ];
+    for (status, raw) in &cases {
+        let direct = raw_exchange(shard.addr(), raw);
+        let proxied = raw_exchange(gw.addr(), raw);
+        assert!(direct.starts_with(status), "shard: {direct}");
+        assert_eq!(proxied, direct, "gateway and shard fronts differ");
+    }
+    let not_allowed = raw_exchange(gw.addr(), &cases[1].1);
+    assert!(not_allowed.contains("\r\nAllow: POST\r\n"), "{not_allowed}");
+    let truncated = raw_exchange(gw.addr(), &cases[5].1);
+    assert!(
+        truncated.ends_with("{\"error\":\"truncated request body\"}"),
+        "{truncated}"
+    );
 
     gw.shutdown();
     gw_join.join().unwrap();

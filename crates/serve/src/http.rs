@@ -10,8 +10,9 @@
 //! removes the whole class of pipelining/framing bugs a vendored server
 //! could get wrong silently.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::time::Instant;
 
 /// Cap on the request head (request line + headers).
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -66,7 +67,7 @@ pub enum HttpError {
     BadRequest(String),
     /// Head or body over the cap; answer 413.
     TooLarge,
-    /// Socket-level failure (including read timeouts).
+    /// Socket-level failure (including running out of the read budget).
     Io(std::io::Error),
 }
 
@@ -81,16 +82,51 @@ impl std::fmt::Display for HttpError {
     }
 }
 
+/// The socket under [`read_request`]: before each read it sets the
+/// socket's read timeout to what is left of the request's time budget,
+/// so a peer dripping bytes cannot stretch one request past it.
+struct Budgeted<'a> {
+    stream: &'a TcpStream,
+    deadline: Option<Instant>,
+}
+
+impl Read for Budgeted<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if let Some(deadline) = self.deadline {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(io::ErrorKind::TimedOut.into());
+            }
+            self.stream.set_read_timeout(Some(left))?;
+        }
+        self.stream.read(buf)
+    }
+}
+
 /// Read and parse one request from the stream.
+///
+/// The stream's read timeout, when set, is the budget for the whole
+/// request — head and body — not for each socket read; running out of
+/// it is [`HttpError::Io`]. A head line is read at most up to what is
+/// left of [`MAX_HEAD_BYTES`], so a head with no line break costs no
+/// more than the cap.
 pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
+    let deadline = stream
+        .read_timeout()
+        .map_err(HttpError::Io)?
+        .map(|budget| Instant::now() + budget);
     // Accumulate the head byte-wise up to the blank line. Byte-at-a-time
     // via BufReader is fine at this request rate, and never over-reads
     // into the body.
-    let mut reader = BufReader::new(stream);
+    let mut reader = BufReader::new(Budgeted { stream, deadline });
     let mut head = Vec::new();
     loop {
         let mut line = Vec::new();
-        let n = reader.read_until(b'\n', &mut line).map_err(HttpError::Io)?;
+        let cap = (MAX_HEAD_BYTES - head.len() + 1) as u64;
+        let n = (&mut reader)
+            .take(cap)
+            .read_until(b'\n', &mut line)
+            .map_err(HttpError::Io)?;
         if n == 0 {
             return Err(if head.is_empty() {
                 HttpError::Closed
@@ -164,7 +200,10 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
     }
     let mut body = vec![0u8; content_length];
     if content_length > 0 {
-        reader.read_exact(&mut body).map_err(HttpError::Io)?;
+        reader.read_exact(&mut body).map_err(|e| match e.kind() {
+            io::ErrorKind::UnexpectedEof => HttpError::BadRequest("truncated request body".into()),
+            _ => HttpError::Io(e),
+        })?;
     }
     Ok(Request {
         method,
@@ -261,6 +300,14 @@ pub fn write_chunk(stream: &mut TcpStream, data: &[u8]) -> std::io::Result<()> {
     stream.flush()
 }
 
+/// Send one NDJSON line (plus its `\n`) as one chunk.
+pub fn write_line(stream: &mut TcpStream, line: &str) -> std::io::Result<()> {
+    let mut payload = Vec::with_capacity(line.len() + 1);
+    payload.extend_from_slice(line.as_bytes());
+    payload.push(b'\n');
+    write_chunk(stream, &payload)
+}
+
 /// Terminate a chunked response.
 pub fn finish_chunked(stream: &mut TcpStream) -> std::io::Result<()> {
     stream.write_all(b"0\r\n\r\n")?;
@@ -289,7 +336,9 @@ pub fn reason_phrase(status: u16) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::{TcpListener, TcpStream};
+    use std::net::{Shutdown, TcpListener, TcpStream};
+    use std::sync::mpsc;
+    use std::time::{Duration, Instant};
 
     /// Round-trip helper: write `raw` into a loopback socket, parse it
     /// server-side.
@@ -305,6 +354,32 @@ mod tests {
         let parsed = read_request(&mut server_side);
         writer.join().unwrap();
         parsed
+    }
+
+    /// Parse what `client` writes into a loopback socket, with `budget`
+    /// as the server side's read timeout. The client's socket stays open
+    /// until the parse returns. Also returns how long the parse took.
+    fn parse_with(
+        budget: Duration,
+        client: impl FnOnce(&mut TcpStream) + Send + 'static,
+    ) -> (Result<Request, HttpError>, Duration) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (parsed_tx, parsed_rx) = mpsc::channel::<()>();
+        let writer = std::thread::spawn(move || {
+            let mut c = TcpStream::connect(addr).unwrap();
+            client(&mut c);
+            let _ = parsed_rx.recv();
+        });
+        let (mut server_side, _) = listener.accept().unwrap();
+        server_side.set_read_timeout(Some(budget)).unwrap();
+        let started = Instant::now();
+        let parsed = read_request(&mut server_side);
+        let elapsed = started.elapsed();
+        drop(server_side);
+        drop(parsed_tx);
+        writer.join().unwrap();
+        (parsed, elapsed)
     }
 
     #[test]
@@ -404,5 +479,47 @@ mod tests {
         assert!(wire.contains("Retry-After: 2\r\n"));
         assert!(wire.contains("Connection: close\r\n"));
         assert!(wire.ends_with("{\"error\":\"busy\"}"));
+    }
+
+    #[test]
+    fn a_head_without_line_breaks_costs_no_more_than_the_cap() {
+        let (parsed, _) = parse_with(Duration::from_secs(2), |c| {
+            // The parser may stop reading (and close) before all of it
+            // is sent.
+            let _ = c.write_all(&vec![b'a'; MAX_HEAD_BYTES + 1024]);
+        });
+        assert!(matches!(parsed, Err(HttpError::TooLarge)), "{parsed:?}");
+    }
+
+    #[test]
+    fn the_read_timeout_bounds_the_whole_request() {
+        // One header byte every 200 ms for 3 s: each socket read is well
+        // inside the 1 s timeout, the request as a whole is not.
+        let (parsed, elapsed) = parse_with(Duration::from_secs(1), |c| {
+            if c.write_all(b"GET / HTTP/1.1\r\nX-Drip: ").is_err() {
+                return;
+            }
+            for _ in 0..15 {
+                std::thread::sleep(Duration::from_millis(200));
+                if c.write_all(b"y").is_err() {
+                    return;
+                }
+            }
+        });
+        assert!(matches!(parsed, Err(HttpError::Io(_))), "{parsed:?}");
+        assert!(elapsed < Duration::from_millis(1500), "took {elapsed:?}");
+    }
+
+    #[test]
+    fn a_truncated_body_is_a_bad_request() {
+        let (parsed, _) = parse_with(Duration::from_secs(2), |c| {
+            c.write_all(b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc")
+                .unwrap();
+            c.shutdown(Shutdown::Write).unwrap();
+        });
+        match parsed {
+            Err(HttpError::BadRequest(m)) => assert_eq!(m, "truncated request body"),
+            other => panic!("expected a 400, got {other:?}"),
+        }
     }
 }

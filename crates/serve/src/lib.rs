@@ -23,13 +23,15 @@
 //! | `POST /v1/shutdown` | Graceful shutdown (in-flight sessions checkpoint through the store) |
 //!
 //! Module map: [`http`] (hand-rolled HTTP/1.1 parsing + chunked
-//! responses), [`router`] (typed routes), [`admission`] (429 +
-//! `Retry-After` policy), [`metrics`] (latency histograms via
+//! responses), [`router`] (typed routes), [`front`] (the one HTTP front
+//! a shard and the mesh gateway share: listener, accept loop, connection
+//! pool, authentication, and the 400/401/403/404/405/408/413 answers; a
+//! tier plugs in its routes as a [`front::Service`]), [`admission`]
+//! (429 + `Retry-After` policy), [`metrics`] (latency histograms via
 //! `xplain-stats`, plus the [`metrics::MeshStatus`] gauges the mesh
-//! layer feeds), [`server`] (accept loop, connection pool, handlers
-//! over the shared `xplain_runtime::JobQueue`), [`client`] (the minimal
-//! blocking client the gateway, stealer, tests, and load generators
-//! drive).
+//! layer feeds), [`server`] (the shard's route handlers over the shared
+//! `xplain_runtime::JobQueue`), [`client`] (the minimal blocking client
+//! the gateway, stealer, tests, and load generators drive).
 //!
 //! `serve/tests/conformance.rs` pins this wire format exactly — status
 //! codes, JSON key order, NDJSON chunk framing — because the mesh tier
@@ -38,6 +40,7 @@
 
 pub mod admission;
 pub mod client;
+pub mod front;
 pub mod http;
 pub mod metrics;
 pub mod router;

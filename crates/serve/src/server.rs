@@ -1,10 +1,10 @@
-//! The HTTP server: accept loop, connection thread pool, and the route
-//! handlers that bind the wire protocol to the runtime's [`JobQueue`].
+//! The shard server: the route handlers that bind the wire protocol to
+//! the runtime's [`JobQueue`], behind the [`front`](crate::front) it
+//! shares with the mesh gateway.
 //!
 //! Threading model (all scoped — the server owns no detached threads):
 //!
-//! * the caller's thread runs the accept loop (non-blocking accept with
-//!   a short poll so shutdown is observed promptly);
+//! * the caller's thread runs the front's blocking accept loop;
 //! * `http_threads` connection handlers pull accepted sockets off an
 //!   mpsc channel; each connection is one request (`Connection: close`);
 //! * `queue_workers` session workers drain the shared [`JobQueue`] —
@@ -15,16 +15,15 @@
 //! the accept loop stops, the queue cancels queued jobs and fires every
 //! running session's cancel token, sessions persist checkpoints through
 //! the store's `.ckpt` path at their next event boundary and emit their
-//! terminal event (so live event streams end cleanly), workers drain,
-//! and [`Server::run`] returns. A resubmit of an interrupted spec — to
-//! this or a future server over the same store — resumes mid-loop.
+//! terminal event (so live event streams end cleanly), then workers and
+//! connection handlers are joined and [`Server::run`] returns. A
+//! resubmit of an interrupted spec — to this or a future server over the
+//! same store — resumes mid-loop.
 
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use serde::Serialize;
@@ -35,11 +34,10 @@ use xplain_runtime::{
 use xplain_tune::{generation_line, report_line, tune_with, TuneOptions};
 
 use crate::admission::AdmissionPolicy;
-use crate::http::{
-    finish_chunked, read_request, start_chunked, write_chunk, HttpError, Request, Response,
-};
+use crate::front::{unattributed, Front, FrontHandle, Service};
+use crate::http::{finish_chunked, start_chunked, write_line, Request, Response};
 use crate::metrics::ServerMetrics;
-use crate::router::{route, Route, RouteError};
+use crate::router::Route;
 
 /// Server tunables. `Default` suits a laptop smoke run; production picks
 /// explicit numbers.
@@ -70,7 +68,8 @@ pub struct ServerConfig {
     /// shard id is set — mesh shards share the content-addressed store,
     /// but each must journal its own accepted jobs separately.
     pub journal_dir: Option<PathBuf>,
-    /// Per-connection read timeout.
+    /// Time budget for reading one whole request (head and body); a
+    /// client that runs it out gets 408.
     pub read_timeout: Duration,
     /// Completed jobs kept in memory (outcome + event log) before the
     /// oldest are evicted — bounds a long-lived server's footprint.
@@ -129,72 +128,29 @@ fn auto_workers(requested: usize) -> usize {
 
 /// A bound-but-not-yet-running server.
 pub struct Server {
-    listener: TcpListener,
+    front: Front,
     config: ServerConfig,
-    local_addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
 }
 
 /// Remote control for a running [`Server`] (cloneable, thread-safe).
-#[derive(Clone)]
-pub struct ServerHandle {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-}
-
-impl ServerHandle {
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Request graceful shutdown (idempotent).
-    pub fn shutdown(&self) {
-        request_shutdown(&self.shutdown, self.addr);
-    }
-}
-
-/// Flag shutdown and poke the accept loop awake: the listener blocks in
-/// `accept` (zero added latency on real connections — an earlier polling
-/// accept put a sleep on every request's critical path), so shutdown
-/// opens one throwaway loopback connection to unblock it.
-///
-/// The poke is only load-bearing when the listener is *idle*: if the
-/// accept backlog has pending connections, `accept` returns on its own
-/// and the loop observes the flag — and an idle listener accepts the
-/// poke immediately. A couple of retries cover transient connect
-/// failures; past that, the next real connection ends the loop.
-fn request_shutdown(flag: &AtomicBool, addr: SocketAddr) {
-    flag.store(true, Ordering::Relaxed);
-    for timeout_ms in [200, 1000] {
-        if TcpStream::connect_timeout(&addr, Duration::from_millis(timeout_ms)).is_ok() {
-            break;
-        }
-    }
-}
+pub type ServerHandle = FrontHandle;
 
 impl Server {
     /// Bind the listening socket (fails fast on bad addresses — before
     /// any threads exist).
     pub fn bind(config: ServerConfig) -> io::Result<Server> {
-        let listener = TcpListener::bind(&config.addr)?;
-        let local_addr = listener.local_addr()?;
         Ok(Server {
-            listener,
+            front: Front::bind(&config.addr)?,
             config,
-            local_addr,
-            shutdown: Arc::new(AtomicBool::new(false)),
         })
     }
 
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.front.local_addr()
     }
 
     pub fn handle(&self) -> ServerHandle {
-        ServerHandle {
-            addr: self.local_addr,
-            shutdown: Arc::clone(&self.shutdown),
-        }
+        self.front.handle()
     }
 
     /// Serve until shutdown is requested, then drain gracefully. Blocks
@@ -258,58 +214,26 @@ impl Server {
             journal: journal.as_ref(),
             metrics: &metrics,
             policy: AdmissionPolicy::default(),
-            shutdown: &self.shutdown,
-            addr: self.local_addr,
+            front: self.front.handle(),
             queue_workers,
             capacity: self.config.capacity,
-            read_timeout: self.config.read_timeout,
             mesh: self.config.mesh.clone(),
             tenants: &tenants,
         };
-
-        let (conn_tx, conn_rx) = mpsc::channel::<TcpStream>();
-        let conn_rx = Mutex::new(conn_rx);
 
         std::thread::scope(|scope| {
             for _ in 0..queue_workers {
                 scope.spawn(|| queue.serve_worker());
             }
-            for _ in 0..self.config.http_threads.max(1) {
-                scope.spawn(|| loop {
-                    let next = conn_rx
-                        .lock()
-                        .expect("connection channel")
-                        .recv_timeout(Duration::from_millis(100));
-                    match next {
-                        Ok(stream) => handle_connection(stream, &ctx),
-                        Err(RecvTimeoutError::Timeout) => continue,
-                        Err(RecvTimeoutError::Disconnected) => break,
-                    }
-                });
-            }
-            // Accept loop — this thread. Blocking accept keeps new
-            // connections off a poll-sleep; `request_shutdown` unblocks
-            // it with a throwaway connection.
-            loop {
-                match self.listener.accept() {
-                    Ok((stream, _)) => {
-                        if self.shutdown.load(Ordering::Relaxed) {
-                            break; // likely the shutdown poke itself
-                        }
-                        let _ = conn_tx.send(stream);
-                    }
-                    Err(_) => {
-                        if self.shutdown.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                }
-            }
+            self.front.serve(
+                scope,
+                &ctx,
+                self.config.http_threads,
+                self.config.read_timeout,
+            );
             // Graceful drain: no new connections; cancel queued and
             // running jobs (sessions checkpoint + emit terminal events,
             // ending live streams); workers and handlers then exit.
-            drop(conn_tx);
             queue.shutdown();
         });
         Ok(())
@@ -324,116 +248,45 @@ struct Ctx<'a> {
     journal: Option<&'a JobJournal>,
     metrics: &'a ServerMetrics,
     policy: AdmissionPolicy,
-    shutdown: &'a AtomicBool,
-    addr: SocketAddr,
+    front: FrontHandle,
     queue_workers: usize,
     capacity: usize,
-    read_timeout: Duration,
     mesh: Option<Arc<crate::metrics::MeshStatus>>,
     tenants: &'a TenantRegistry,
 }
 
-/// Resolve the caller's tenant identity, or the error response that ends
-/// the request.
-///
-/// Open mode: every request is the anonymous tenant (`Ok(None)`), headers
-/// ignored. Enforcing mode:
-///
-/// * `Authorization: Bearer <key>` — authenticated against the registry's
-///   FNV-hashed key table; unknown keys are 403 on every route.
-/// * `X-Xplain-Tenant: <id>` — trusted forwarding from a mesh gateway
-///   that already authenticated the bearer at the edge (shards sit on a
-///   private network behind it; see DESIGN.md §12's trust model).
-///   Unknown ids are 403.
-/// * Neither header → `Ok(None)`. Routes that *attribute* work (submit,
-///   tune) then answer 401; read/ops routes stay open so liveness
-///   probes, mesh heartbeats, and work stealing keep working.
-fn authenticate(ctx: &Ctx<'_>, request: &Request) -> Result<Option<String>, Box<Response>> {
-    if !ctx.tenants.enforcing() {
-        return Ok(None);
+impl Service for Ctx<'_> {
+    fn tenants(&self) -> &TenantRegistry {
+        self.tenants
     }
-    if let Some(value) = request.header("authorization") {
-        let key = match value.split_once(' ') {
-            Some((scheme, rest)) if scheme.eq_ignore_ascii_case("bearer") => rest.trim(),
-            _ => {
-                return Err(Box::new(Response::error(
-                    401,
-                    "malformed Authorization header (expected 'Bearer <api-key>')",
-                )))
-            }
-        };
-        return match ctx.tenants.authenticate(key) {
-            Some(tenant) => Ok(Some(tenant.id.clone())),
-            None => Err(Box::new(Response::error(403, "unknown API key"))),
-        };
-    }
-    if let Some(id) = request.header("x-xplain-tenant") {
-        return match ctx.tenants.lookup(id) {
-            Some(tenant) => Ok(Some(tenant.id.clone())),
-            None => Err(Box::new(Response::error(
-                403,
-                &format!("unknown tenant id '{id}'"),
-            ))),
-        };
-    }
-    Ok(None)
-}
 
-fn handle_connection(mut stream: TcpStream, ctx: &Ctx<'_>) {
-    let _ = stream.set_read_timeout(Some(ctx.read_timeout));
-    let _ = stream.set_nodelay(true);
-    let request = match read_request(&mut stream) {
-        Ok(r) => r,
-        Err(HttpError::Closed) => return,
-        Err(HttpError::TooLarge) => {
-            let _ = Response::error(413, "request exceeds size caps").write_to(&mut stream);
-            return;
+    fn serve(
+        &self,
+        stream: &mut TcpStream,
+        route: Route,
+        request: &Request,
+        tenant: Option<&str>,
+        read_done: Instant,
+    ) {
+        let tag = route.tag();
+        let response = match route {
+            Route::SubmitJob => Some(submit_job(self, request, tenant)),
+            Route::JobStatus(id) => Some(job_status(self, &id)),
+            Route::JobEvents(id) => handle_events(stream, self, &id),
+            Route::CancelJob(id) => Some(cancel_job(self, &id)),
+            Route::Domains => Some(domains(self)),
+            Route::QueueInfo => Some(queue_info(self)),
+            Route::Steal => Some(steal(self, request)),
+            Route::Metrics => Some(metrics(self)),
+            Route::Regressions => Some(regressions(self, request)),
+            Route::Tune => handle_tune(stream, self, request, tenant),
+            Route::Shutdown => Some(self.front.shutdown_response()),
+        };
+        if let Some(response) = response {
+            let _ = response.write_to(stream);
         }
-        Err(HttpError::BadRequest(m)) => {
-            let _ = Response::error(400, &m).write_to(&mut stream);
-            return;
-        }
-        Err(HttpError::Io(_)) => {
-            let _ = Response::error(408, "timed out reading request").write_to(&mut stream);
-            return;
-        }
-    };
-    let started = Instant::now();
-    let tenant = match authenticate(ctx, &request) {
-        Ok(t) => t,
-        Err(response) => {
-            let _ = response.write_to(&mut stream);
-            return;
-        }
-    };
-    match route(&request.method, &request.path) {
-        Ok(Route::JobEvents(id)) => {
-            let tag = Route::JobEvents(String::new()).tag();
-            handle_events(&mut stream, ctx, &id);
-            ctx.metrics
-                .observe(tag, started.elapsed().as_secs_f64() * 1000.0);
-        }
-        Ok(Route::Tune) => {
-            let tag = Route::Tune.tag();
-            handle_tune(&mut stream, ctx, &request, tenant.as_deref());
-            ctx.metrics
-                .observe(tag, started.elapsed().as_secs_f64() * 1000.0);
-        }
-        Ok(r) => {
-            let tag = r.tag();
-            let response = dispatch(ctx, r, &request, tenant.as_deref());
-            let _ = response.write_to(&mut stream);
-            ctx.metrics
-                .observe(tag, started.elapsed().as_secs_f64() * 1000.0);
-        }
-        Err(RouteError::NotFound) => {
-            let _ = Response::error(404, "no such resource").write_to(&mut stream);
-        }
-        Err(RouteError::MethodNotAllowed { allowed }) => {
-            let _ = Response::error(405, "method not allowed")
-                .with_header("Allow", allowed)
-                .write_to(&mut stream);
-        }
+        self.metrics
+            .observe(tag, read_done.elapsed().as_secs_f64() * 1000.0);
     }
 }
 
@@ -480,11 +333,6 @@ struct CancelBody {
 struct DomainBody {
     id: String,
     description: String,
-}
-
-#[derive(Debug, Serialize)]
-struct ShutdownBody {
-    shutting_down: bool,
 }
 
 /// `GET /v1/queue` body: the waiting line, as a peer deciding whether
@@ -541,38 +389,9 @@ struct StealBody {
     jobs: Vec<JobSpec>,
 }
 
-fn dispatch(ctx: &Ctx<'_>, route: Route, request: &Request, tenant: Option<&str>) -> Response {
-    match route {
-        Route::SubmitJob => submit_job(ctx, request, tenant),
-        Route::JobStatus(id) => job_status(ctx, &id),
-        Route::CancelJob(id) => cancel_job(ctx, &id),
-        Route::Domains => domains(ctx),
-        Route::QueueInfo => queue_info(ctx),
-        Route::Steal => steal(ctx, request),
-        Route::Metrics => metrics(ctx),
-        Route::Regressions => regressions(ctx, request),
-        Route::Shutdown => {
-            request_shutdown(ctx.shutdown, ctx.addr);
-            Response::json(
-                200,
-                serde_json::to_string(&ShutdownBody {
-                    shutting_down: true,
-                })
-                .expect("body serializes"),
-            )
-        }
-        // Streamed separately in `handle_connection`.
-        Route::JobEvents(_) => Response::error(500, "events route must stream"),
-        Route::Tune => Response::error(500, "tune route must stream"),
-    }
-}
-
 fn submit_job(ctx: &Ctx<'_>, request: &Request, tenant: Option<&str>) -> Response {
-    if ctx.tenants.enforcing() && tenant.is_none() {
-        return Response::error(
-            401,
-            "missing API key (send 'Authorization: Bearer <api-key>')",
-        );
+    if let Some(denied) = unattributed(ctx.tenants, tenant) {
+        return denied;
     }
     let body = match request.body_str() {
         Ok(b) => b,
@@ -813,54 +632,48 @@ struct TuneRequestBody {
 /// streaming chunked NDJSON — one `{"generation":{...}}` line per
 /// generation, then a terminal `{"report":{...}}` line. The lines are
 /// byte-identical to `runner tune --watch` for the same bank, options,
-/// and seed.
+/// and seed. Returns the answer to write when no stream started.
 ///
 /// Tuning is real work, so it is admission-checked like job
 /// submissions: while the session queue is saturated the server answers
 /// 429 with the policy's `Retry-After` instead of piling tuning runs on
 /// top of a full box.
-fn handle_tune(stream: &mut TcpStream, ctx: &Ctx<'_>, request: &Request, tenant: Option<&str>) {
-    if ctx.tenants.enforcing() && tenant.is_none() {
-        let _ = Response::error(
-            401,
-            "missing API key (send 'Authorization: Bearer <api-key>')",
-        )
-        .write_to(stream);
-        return;
+fn handle_tune(
+    stream: &mut TcpStream,
+    ctx: &Ctx<'_>,
+    request: &Request,
+    tenant: Option<&str>,
+) -> Option<Response> {
+    if let Some(denied) = unattributed(ctx.tenants, tenant) {
+        return Some(denied);
     }
     let Some(store) = ctx.store else {
-        let _ = Response::error(
+        return Some(Response::error(
             404,
             "server runs storeless; no regression bank to tune against",
-        )
-        .write_to(stream);
-        return;
+        ));
     };
     let body = match request.body_str() {
         Ok(b) => b,
-        Err(e) => {
-            let _ = Response::error(400, &e.to_string()).write_to(stream);
-            return;
-        }
+        Err(e) => return Some(Response::error(400, &e.to_string())),
     };
     let req: TuneRequestBody = match serde_json::from_str(body) {
         Ok(r) => r,
         Err(e) => {
-            let _ =
-                Response::error(400, &format!("malformed tune request: {e:?}")).write_to(stream);
-            return;
+            return Some(Response::error(
+                400,
+                &format!("malformed tune request: {e:?}"),
+            ))
         }
     };
     let Some(domain) = ctx.registry.get(&req.domain) else {
-        let _ = Response::error(
+        return Some(Response::error(
             400,
             &format!(
                 "unknown domain id '{}' (GET /v1/domains lists them)",
                 req.domain
             ),
-        )
-        .write_to(stream);
-        return;
+        ));
     };
     let depth = ctx.queue.depth();
     if depth >= ctx.capacity {
@@ -872,10 +685,10 @@ fn handle_tune(stream: &mut TcpStream, ctx: &Ctx<'_>, request: &Request, tenant:
             },
             ctx.queue_workers,
         );
-        let _ = Response::error(429, "session queue is saturated; retry tuning later")
-            .with_header("Retry-After", &retry.to_string())
-            .write_to(stream);
-        return;
+        return Some(
+            Response::error(429, "session queue is saturated; retry tuning later")
+                .with_header("Retry-After", &retry.to_string()),
+        );
     }
 
     let mut opts = if req.quick {
@@ -919,28 +732,19 @@ fn handle_tune(stream: &mut TcpStream, ctx: &Ctx<'_>, request: &Request, tenant:
             }
             streaming = true;
         }
-        let mut payload = generation_line(stat).into_bytes();
-        payload.push(b'\n');
-        if write_chunk(stream, &payload).is_err() {
+        if write_line(stream, &generation_line(stat)).is_err() {
             broken = true;
         }
     });
     match result {
-        Err(e) => {
-            if !streaming {
-                let _ = Response::error(400, &e.to_string()).write_to(stream);
-            }
-            // Streaming already started: the client sees truncation.
-        }
+        // Streaming already started: the client sees truncation.
+        Err(e) => (!streaming).then(|| Response::error(400, &e.to_string())),
         Ok(report) => {
-            if broken || !streaming {
-                return; // subscriber went away mid-run
-            }
-            let mut payload = report_line(&report).into_bytes();
-            payload.push(b'\n');
-            if write_chunk(stream, &payload).is_ok() {
+            // `broken`: the subscriber went away mid-run.
+            if streaming && !broken && write_line(stream, &report_line(&report)).is_ok() {
                 let _ = finish_chunked(stream);
             }
+            None
         }
     }
 }
@@ -948,14 +752,14 @@ fn handle_tune(stream: &mut TcpStream, ctx: &Ctx<'_>, request: &Request, tenant:
 /// `GET /v1/jobs/{id}/events`: chunked NDJSON, one watch line per
 /// session event, tailed live until the job's stream completes. The
 /// lines are byte-identical to `runner --watch` output for the same job
-/// (both serialize through `xplain_runtime::watch_line`).
-fn handle_events(stream: &mut TcpStream, ctx: &Ctx<'_>, id: &str) {
+/// (both serialize through `xplain_runtime::watch_line`). Returns the
+/// answer to write when no stream started.
+fn handle_events(stream: &mut TcpStream, ctx: &Ctx<'_>, id: &str) -> Option<Response> {
     let Some(slot) = JobQueue::parse_id(id).and_then(|key| ctx.queue.resolve(key)) else {
-        let _ = Response::error(404, &format!("no job '{id}'")).write_to(stream);
-        return;
+        return Some(Response::error(404, &format!("no job '{id}'")));
     };
     if start_chunked(stream, 200, "application/x-ndjson").is_err() {
-        return;
+        return None;
     }
     let mut offset = 0usize;
     loop {
@@ -967,14 +771,11 @@ fn handle_events(stream: &mut TcpStream, ctx: &Ctx<'_>, id: &str) {
             // replaying it. Abort WITHOUT the chunked terminator: the
             // client sees transport-level truncation — an error — never
             // a well-formed stream that silently lost its tail.
-            return;
+            return None;
         };
         for line in &chunk.lines {
-            let mut payload = Vec::with_capacity(line.len() + 1);
-            payload.extend_from_slice(line.as_bytes());
-            payload.push(b'\n');
-            if write_chunk(stream, &payload).is_err() {
-                return; // subscriber went away; the job keeps running
+            if write_line(stream, line).is_err() {
+                return None; // subscriber went away; the job keeps running
             }
         }
         offset += chunk.lines.len();
@@ -983,4 +784,5 @@ fn handle_events(stream: &mut TcpStream, ctx: &Ctx<'_>, id: &str) {
         }
     }
     let _ = finish_chunked(stream);
+    None
 }
