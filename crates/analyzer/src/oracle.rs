@@ -6,9 +6,9 @@
 //! significance checking, explanation) is agnostic to how adversarial
 //! inputs are found — exactly the role MetaOpt plays in the paper's Fig. 3.
 
-use xplain_domains::sched::{lpt, SchedInstance};
+use xplain_domains::sched::{lpt_capped, SchedInstance};
 use xplain_domains::te::{DemandPinning, TeLexSolverStack, TeProblem};
-use xplain_domains::vbp::{first_fit, optimal, VbpInstance};
+use xplain_domains::vbp::{first_fit_deferred, optimal, VbpInstance};
 
 /// A heuristic-vs-benchmark gap function over a box input space.
 ///
@@ -129,6 +129,11 @@ pub struct FfOracle {
     pub bin_capacity: f64,
     /// Smallest admissible ball (the paper's examples use ≥ 1% of the bin).
     pub min_size: f64,
+    /// The heuristic's sizing rule: balls smaller than this are placed
+    /// after the rest (`first_fit_deferred`). `0.0` (from
+    /// [`FfOracle::new`]) defers nothing and is exactly first-fit; the
+    /// repair tuner searches over it.
+    pub defer_below: f64,
 }
 
 impl FfOracle {
@@ -137,6 +142,7 @@ impl FfOracle {
             n_balls,
             bin_capacity: 1.0,
             min_size: 0.01,
+            defer_below: 0.0,
         }
     }
 }
@@ -161,7 +167,7 @@ impl GapOracle for FfOracle {
             bin_capacity: vec![self.bin_capacity],
             balls: x.iter().map(|&s| vec![s]).collect(),
         };
-        let ff = first_fit(&inst).bins_used as f64;
+        let ff = first_fit_deferred(&inst, self.defer_below).bins_used as f64;
         let opt = optimal(&inst).bins_used as f64;
         ff - opt
     }
@@ -180,6 +186,10 @@ pub struct SchedOracle {
     /// longest job of the Graham-tight family, so the adversarial pattern
     /// sits inside the box.
     pub p_max: f64,
+    /// The heuristic's MULTIFIT-style cap (`lpt_capped`). `0.0` (from
+    /// [`SchedOracle::new`]) caps nothing and is exactly LPT; the repair
+    /// tuner searches over it.
+    pub cap_factor: f64,
 }
 
 impl SchedOracle {
@@ -189,6 +199,7 @@ impl SchedOracle {
             n_jobs,
             n_machines,
             p_max: (2 * n_machines - 1) as f64,
+            cap_factor: 0.0,
         }
     }
 }
@@ -210,7 +221,7 @@ impl GapOracle for SchedOracle {
             return f64::NEG_INFINITY;
         }
         let inst = SchedInstance::new(self.n_machines, x.to_vec());
-        let h = lpt(&inst).makespan;
+        let h = lpt_capped(&inst, self.cap_factor).makespan;
         let b = xplain_domains::sched::optimal(&inst).makespan;
         h - b
     }

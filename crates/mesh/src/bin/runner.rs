@@ -161,48 +161,39 @@ struct Args {
     smoke: bool,
 }
 
+/// The value of a flag that takes one — the next argument, parsed. A
+/// missing value, or one that is itself a flag (`--store --json`), is a
+/// usage error rather than a value.
+fn flag_value<T>(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<T, String>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    match it.next() {
+        Some(value) if !value.starts_with("--") => {
+            value.parse().map_err(|e| format!("{flag}: {e}"))
+        }
+        _ => Err(format!("{flag} needs a value")),
+    }
+}
+
 fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args::default();
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--manifest" => {
-                args.manifest = Some(it.next().ok_or("--manifest needs a path")?.clone())
-            }
-            "--workers" => {
-                args.workers = it
-                    .next()
-                    .ok_or("--workers needs a count")?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?
-            }
-            "--store" => args.store = Some(it.next().ok_or("--store needs a directory")?.clone()),
+            "--manifest" => args.manifest = Some(flag_value(&mut it, "--manifest")?),
+            "--workers" => args.workers = flag_value(&mut it, "--workers")?,
+            "--store" => args.store = Some(flag_value(&mut it, "--store")?),
             "--json" => args.json = true,
             "--watch" => args.watch = true,
             "--resume" => args.resume = true,
-            "--deadline-ms" => {
-                args.deadline_ms = Some(
-                    it.next()
-                        .ok_or("--deadline-ms needs a millisecond count")?
-                        .parse()
-                        .map_err(|e| format!("--deadline-ms: {e}"))?,
-                )
-            }
+            "--deadline-ms" => args.deadline_ms = Some(flag_value(&mut it, "--deadline-ms")?),
             "--max-analyzer-calls" => {
-                args.max_analyzer_calls = Some(
-                    it.next()
-                        .ok_or("--max-analyzer-calls needs a count")?
-                        .parse()
-                        .map_err(|e| format!("--max-analyzer-calls: {e}"))?,
-                )
+                args.max_analyzer_calls = Some(flag_value(&mut it, "--max-analyzer-calls")?)
             }
             "--max-solver-iterations" => {
-                args.max_solver_iterations = Some(
-                    it.next()
-                        .ok_or("--max-solver-iterations needs a count")?
-                        .parse()
-                        .map_err(|e| format!("--max-solver-iterations: {e}"))?,
-                )
+                args.max_solver_iterations = Some(flag_value(&mut it, "--max-solver-iterations")?)
             }
             "--list-domains" => args.list_domains = true,
             "--emit-manifest" => args.emit_manifest = true,
@@ -356,40 +347,23 @@ fn serve_main(argv: &[String]) -> i32 {
     let mut peers_csv: Option<String> = None;
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
-        let take = |it: &mut std::slice::Iter<'_, String>, what: &str| {
-            it.next().cloned().ok_or(format!("{what} needs a value"))
-        };
         let parsed = match arg.as_str() {
-            "--addr" => take(&mut it, "--addr").map(|v| config.addr = v),
-            "--workers" => take(&mut it, "--workers").and_then(|v| {
-                v.parse()
-                    .map(|n| config.queue_workers = n)
-                    .map_err(|e| format!("--workers: {e}"))
-            }),
-            "--http-threads" => take(&mut it, "--http-threads").and_then(|v| {
-                v.parse()
-                    .map(|n| config.http_threads = n)
-                    .map_err(|e| format!("--http-threads: {e}"))
-            }),
-            "--capacity" => take(&mut it, "--capacity").and_then(|v| {
-                v.parse()
-                    .map(|n| config.capacity = n)
-                    .map_err(|e| format!("--capacity: {e}"))
-            }),
-            "--store" => take(&mut it, "--store").map(|v| config.store_dir = Some(v.into())),
-            "--journal" => take(&mut it, "--journal").map(|v| config.journal_dir = Some(v.into())),
+            "--addr" => flag_value(&mut it, "--addr").map(|v| config.addr = v),
+            "--workers" => flag_value(&mut it, "--workers").map(|n| config.queue_workers = n),
+            "--http-threads" => {
+                flag_value(&mut it, "--http-threads").map(|n| config.http_threads = n)
+            }
+            "--capacity" => flag_value(&mut it, "--capacity").map(|n| config.capacity = n),
+            "--store" => flag_value(&mut it, "--store").map(|v| config.store_dir = Some(v)),
+            "--journal" => flag_value(&mut it, "--journal").map(|v| config.journal_dir = Some(v)),
             "--no-journal" => {
                 config.journal = false;
                 Ok(())
             }
-            "--shard-id" => take(&mut it, "--shard-id").map(|v| config.shard_id = Some(v)),
-            "--pace-ms" => take(&mut it, "--pace-ms").and_then(|v| {
-                v.parse()
-                    .map(|n| config.pace_ms = n)
-                    .map_err(|e| format!("--pace-ms: {e}"))
-            }),
-            "--peers" => take(&mut it, "--peers").map(|v| peers_csv = Some(v)),
-            "--tenants" => take(&mut it, "--tenants").map(|v| config.tenants = Some(v.into())),
+            "--shard-id" => flag_value(&mut it, "--shard-id").map(|v| config.shard_id = Some(v)),
+            "--pace-ms" => flag_value(&mut it, "--pace-ms").map(|n| config.pace_ms = n),
+            "--peers" => flag_value(&mut it, "--peers").map(|v| peers_csv = Some(v)),
+            "--tenants" => flag_value(&mut it, "--tenants").map(|v| config.tenants = Some(v)),
             "--help" | "-h" => {
                 print!("{}", USAGE);
                 return 0;
@@ -493,39 +467,16 @@ fn mesh_main(argv: &[String]) -> i32 {
     let mut tenants: Option<String> = None;
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
-        let take = |it: &mut std::slice::Iter<'_, String>, what: &str| {
-            it.next().cloned().ok_or(format!("{what} needs a value"))
-        };
         let parsed = match arg.as_str() {
-            "--addr" => take(&mut it, "--addr").map(|v| gateway_addr = v),
-            "--peers" => take(&mut it, "--peers").map(|v| peers_csv = Some(v)),
-            "--shards" => take(&mut it, "--shards").and_then(|v| {
-                v.parse()
-                    .map(|n| shards = n)
-                    .map_err(|e| format!("--shards: {e}"))
-            }),
-            "--base-port" => take(&mut it, "--base-port").and_then(|v| {
-                v.parse()
-                    .map(|n| base_port = n)
-                    .map_err(|e| format!("--base-port: {e}"))
-            }),
-            "--store" => take(&mut it, "--store").map(|v| store = Some(v)),
-            "--workers" => take(&mut it, "--workers").and_then(|v| {
-                v.parse()
-                    .map(|n| workers = n)
-                    .map_err(|e| format!("--workers: {e}"))
-            }),
-            "--pace-ms" => take(&mut it, "--pace-ms").and_then(|v| {
-                v.parse()
-                    .map(|n| pace_ms = n)
-                    .map_err(|e| format!("--pace-ms: {e}"))
-            }),
-            "--capacity" => take(&mut it, "--capacity").and_then(|v| {
-                v.parse()
-                    .map(|n| capacity = n)
-                    .map_err(|e| format!("--capacity: {e}"))
-            }),
-            "--tenants" => take(&mut it, "--tenants").map(|v| tenants = Some(v)),
+            "--addr" => flag_value(&mut it, "--addr").map(|v| gateway_addr = v),
+            "--peers" => flag_value(&mut it, "--peers").map(|v| peers_csv = Some(v)),
+            "--shards" => flag_value(&mut it, "--shards").map(|n| shards = n),
+            "--base-port" => flag_value(&mut it, "--base-port").map(|n| base_port = n),
+            "--store" => flag_value(&mut it, "--store").map(|v| store = Some(v)),
+            "--workers" => flag_value(&mut it, "--workers").map(|n| workers = n),
+            "--pace-ms" => flag_value(&mut it, "--pace-ms").map(|n| pace_ms = n),
+            "--capacity" => flag_value(&mut it, "--capacity").map(|n| capacity = n),
+            "--tenants" => flag_value(&mut it, "--tenants").map(|v| tenants = Some(v)),
             "--help" | "-h" => {
                 print!("{}", USAGE);
                 return 0;
@@ -682,32 +633,13 @@ fn tune_main(argv: &[String]) -> i32 {
     let mut workers: Option<usize> = None;
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
-        let take = |it: &mut std::slice::Iter<'_, String>, what: &str| {
-            it.next().cloned().ok_or(format!("{what} needs a value"))
-        };
         let parsed = match arg.as_str() {
-            "--domain" => take(&mut it, "--domain").map(|v| domain_id = Some(v)),
-            "--store" => take(&mut it, "--store").map(|v| store_dir = Some(v)),
-            "--generations" => take(&mut it, "--generations").and_then(|v| {
-                v.parse()
-                    .map(|n| generations = Some(n))
-                    .map_err(|e| format!("--generations: {e}"))
-            }),
-            "--population" => take(&mut it, "--population").and_then(|v| {
-                v.parse()
-                    .map(|n| population = Some(n))
-                    .map_err(|e| format!("--population: {e}"))
-            }),
-            "--seed" => take(&mut it, "--seed").and_then(|v| {
-                v.parse()
-                    .map(|n| seed = Some(n))
-                    .map_err(|e| format!("--seed: {e}"))
-            }),
-            "--workers" => take(&mut it, "--workers").and_then(|v| {
-                v.parse()
-                    .map(|n| workers = Some(n))
-                    .map_err(|e| format!("--workers: {e}"))
-            }),
+            "--domain" => flag_value(&mut it, "--domain").map(|v| domain_id = Some(v)),
+            "--store" => flag_value(&mut it, "--store").map(|v| store_dir = Some(v)),
+            "--generations" => flag_value(&mut it, "--generations").map(|n| generations = Some(n)),
+            "--population" => flag_value(&mut it, "--population").map(|n| population = Some(n)),
+            "--seed" => flag_value(&mut it, "--seed").map(|n| seed = Some(n)),
+            "--workers" => flag_value(&mut it, "--workers").map(|n| workers = Some(n)),
             "--quick" => {
                 quick = true;
                 Ok(())
@@ -826,17 +758,21 @@ fn bank_main(argv: &[String]) -> i32 {
     let mut json = false;
     let mut it = rest.iter();
     while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--store" => store_dir = it.next().cloned(),
-            "--json" => json = true,
+        let parsed = match arg.as_str() {
+            "--store" => flag_value(&mut it, "--store").map(|v| store_dir = Some(v)),
+            "--json" => {
+                json = true;
+                Ok(())
+            }
             "--help" | "-h" => {
                 print!("{}", USAGE);
                 return 0;
             }
-            other => {
-                eprintln!("runner bank replay: unknown argument '{other}'\n{USAGE}");
-                return 2;
-            }
+            other => Err(format!("unknown argument '{other}'")),
+        };
+        if let Err(e) = parsed {
+            eprintln!("runner bank replay: {e}\n{USAGE}");
+            return 2;
         }
     }
     let Some(dir) = store_dir else {
@@ -925,17 +861,21 @@ fn gc_main(argv: &[String]) -> i32 {
     let mut json = false;
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--store" => store_dir = it.next().cloned(),
-            "--json" => json = true,
+        let parsed = match arg.as_str() {
+            "--store" => flag_value(&mut it, "--store").map(|v| store_dir = Some(v)),
+            "--json" => {
+                json = true;
+                Ok(())
+            }
             "--help" | "-h" => {
                 print!("{}", USAGE);
                 return 0;
             }
-            other => {
-                eprintln!("runner gc: unknown argument '{other}'\n{USAGE}");
-                return 2;
-            }
+            other => Err(format!("unknown argument '{other}'")),
+        };
+        if let Err(e) = parsed {
+            eprintln!("runner gc: {e}\n{USAGE}");
+            return 2;
         }
     }
     let Some(dir) = store_dir else {
@@ -1338,6 +1278,53 @@ mod tests {
         assert_eq!(b.deadline_ms, Some(500));
         assert_eq!(b.max_analyzer_calls, Some(3));
         assert_eq!(b.max_solver_iterations, None);
+    }
+
+    fn argv(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn flag_values_must_be_present_and_not_flags() {
+        let args = argv(&["--store", "dir", "--workers", "3"]);
+        let mut it = args.iter();
+        it.next();
+        assert_eq!(
+            flag_value::<String>(&mut it, "--store"),
+            Ok("dir".to_string())
+        );
+        it.next();
+        assert_eq!(flag_value::<usize>(&mut it, "--workers"), Ok(3));
+        // Nothing left: a missing value.
+        assert_eq!(
+            flag_value::<String>(&mut it, "--store"),
+            Err("--store needs a value".to_string())
+        );
+        // The next flag is not a value (`runner gc --store --json`).
+        let args = argv(&["--json"]);
+        assert_eq!(
+            flag_value::<String>(&mut args.iter(), "--store"),
+            Err("--store needs a value".to_string())
+        );
+        // A value that does not parse names its flag.
+        let args = argv(&["many"]);
+        let err = flag_value::<usize>(&mut args.iter(), "--workers").unwrap_err();
+        assert!(err.starts_with("--workers: "), "{err}");
+        // Single-dash words are still values.
+        let args = argv(&["-x"]);
+        assert_eq!(
+            flag_value::<String>(&mut args.iter(), "--addr"),
+            Ok("-x".to_string())
+        );
+    }
+
+    #[test]
+    fn subcommands_refuse_a_flag_as_a_value() {
+        assert_eq!(gc_main(&argv(&["--store", "--json"])), 2);
+        assert_eq!(bank_main(&argv(&["replay", "--store", "--json"])), 2);
+        assert_eq!(gc_main(&argv(&["--store"])), 2);
+        assert!(parse_args(&argv(&["--manifest", "--watch"])).is_err());
+        assert!(parse_args(&argv(&["--store", "--json", "--smoke"])).is_err());
     }
 
     #[test]

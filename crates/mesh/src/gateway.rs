@@ -6,7 +6,7 @@
 //! to unreadable, unknown and wrong-method requests), so it terminates
 //! the same API the shards speak (same routes, same JSON, same NDJSON
 //! event stream) and *proxies* rather than reimplements: a submitted `JobSpec` is hashed exactly the way every
-//! shard hashes it (`JobQueue::job_key`, index 0), the rendezvous ring
+//! shard hashes it (`JobQueue::job_key`), the rendezvous ring
 //! picks the owning shard under the current membership view, and the
 //! request is forwarded verbatim. Because content keys — not queue
 //! state — decide placement, a resubmit of the same spec always lands on
@@ -362,7 +362,7 @@ fn submit(ctx: &GatewayCtx<'_>, request: &Request, tenant: Option<&str>) -> Resp
         Ok(s) => s,
         Err(e) => return Response::error(400, &format!("malformed JobSpec: {e:?}")),
     };
-    let key = JobQueue::job_key(&spec, 0);
+    let key = JobQueue::job_key(&spec);
     let view = ctx.membership.view();
     let mut settled: Option<Response> = None;
     for peer in ring::preference(key, &view)

@@ -589,7 +589,7 @@ fn gateway_fails_over_dead_owners_and_degrades_honestly() {
     };
     let victim_seed = (0..64u64)
         .find(|seed| {
-            let key = JobQueue::job_key(&spec("dp", *seed), 0);
+            let key = JobQueue::job_key(&spec("dp", *seed));
             ring::owner(key, &all_healthy).unwrap().peer.addr == dead_addr
         })
         .expect("some seed hashes to the dead peer");

@@ -12,7 +12,7 @@ use xplain_analyzer::oracle::{FfOracle, GapOracle};
 use xplain_analyzer::search::ff_seeds;
 use xplain_core::explainer::DslMapper;
 use xplain_core::generalizer::Observation;
-use xplain_domains::vbp::{first_fit, first_fit_deferred, optimal, VbpDsl, VbpInstance};
+use xplain_domains::vbp::{first_fit, optimal, VbpDsl, VbpInstance};
 use xplain_flownet::FlowNet;
 
 /// DSL mapper for first-fit bin packing (Fig. 4b).
@@ -136,44 +136,6 @@ pub fn generate_ff_instances(family: &FfFamily, rng: &mut impl Rng) -> Vec<FfIns
     out
 }
 
-/// [`FfOracle`] with the sizing rule parameterized: the heuristic side
-/// runs [`first_fit_deferred`] at the given `defer_below` threshold
-/// (0.0 ≡ plain first-fit), the benchmark side stays the exact optimum.
-pub struct FfTunedOracle {
-    pub base: FfOracle,
-    pub defer_below: f64,
-}
-
-impl GapOracle for FfTunedOracle {
-    fn dims(&self) -> usize {
-        self.base.dims()
-    }
-
-    fn bounds(&self) -> Vec<(f64, f64)> {
-        self.base.bounds()
-    }
-
-    fn gap(&self, x: &[f64]) -> f64 {
-        if x.len() != self.base.n_balls
-            || x.iter()
-                .any(|&s| !s.is_finite() || s < 0.0 || s > self.base.bin_capacity + 1e-12)
-        {
-            return f64::NEG_INFINITY;
-        }
-        let inst = VbpInstance {
-            bin_capacity: vec![self.base.bin_capacity],
-            balls: x.iter().map(|&s| vec![s]).collect(),
-        };
-        let h = first_fit_deferred(&inst, self.defer_below).bins_used as f64;
-        let b = optimal(&inst).bins_used as f64;
-        h - b
-    }
-
-    fn dim_names(&self) -> Vec<String> {
-        self.base.dim_names()
-    }
-}
-
 /// The first-fit bin-packing domain: a registry entry around one ball
 /// count and a DSL with a fixed number of bins.
 pub struct FfDomain {
@@ -251,9 +213,9 @@ impl Domain for FfDomain {
 
     fn tuned_oracle(&self, params: &[f64]) -> Option<Box<dyn GapOracle>> {
         let &[defer_below] = params else { return None };
-        Some(Box::new(FfTunedOracle {
-            base: FfOracle::new(self.n_balls),
+        Some(Box::new(FfOracle {
             defer_below,
+            ..FfOracle::new(self.n_balls)
         }))
     }
 }

@@ -12,8 +12,7 @@ pub mod ff;
 pub mod sched;
 
 pub use dp::{generate_dp_instances, DpDomain, DpDslMapper, DpFamily, DpInstance};
-pub use ff::{generate_ff_instances, FfDomain, FfDslMapper, FfFamily, FfInstance, FfTunedOracle};
+pub use ff::{generate_ff_instances, FfDomain, FfDslMapper, FfFamily, FfInstance};
 pub use sched::{
     generate_sched_instances, SchedDomain, SchedDslMapper, SchedFamily, SchedFamilyInstance,
-    SchedTunedOracle,
 };

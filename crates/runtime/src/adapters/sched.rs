@@ -14,7 +14,7 @@ use xplain_analyzer::oracle::{GapOracle, SchedOracle};
 use xplain_analyzer::search::sched_seeds;
 use xplain_core::explainer::DslMapper;
 use xplain_core::generalizer::Observation;
-use xplain_domains::sched::{lpt, lpt_capped, optimal, SchedDsl, SchedInstance};
+use xplain_domains::sched::{lpt, optimal, SchedDsl, SchedInstance};
 use xplain_flownet::FlowNet;
 
 /// DSL mapper for LPT makespan scheduling.
@@ -119,41 +119,6 @@ pub fn generate_sched_instances(
     out
 }
 
-/// [`SchedOracle`] with the LPT tie-break parameterized: the heuristic
-/// side runs [`lpt_capped`] at the given MULTIFIT-style `cap_factor`
-/// (0.0 ≡ plain LPT), the benchmark side stays the exact optimum.
-pub struct SchedTunedOracle {
-    pub base: SchedOracle,
-    pub cap_factor: f64,
-}
-
-impl GapOracle for SchedTunedOracle {
-    fn dims(&self) -> usize {
-        self.base.dims()
-    }
-
-    fn bounds(&self) -> Vec<(f64, f64)> {
-        self.base.bounds()
-    }
-
-    fn gap(&self, x: &[f64]) -> f64 {
-        if x.len() != self.base.n_jobs
-            || x.iter()
-                .any(|&p| !p.is_finite() || p < 0.0 || p > self.base.p_max + 1e-12)
-        {
-            return f64::NEG_INFINITY;
-        }
-        let inst = SchedInstance::new(self.base.n_machines, x.to_vec());
-        let h = lpt_capped(&inst, self.cap_factor).makespan;
-        let b = optimal(&inst).makespan;
-        h - b
-    }
-
-    fn dim_names(&self) -> Vec<String> {
-        self.base.dim_names()
-    }
-}
-
 /// The makespan-scheduling domain: a registry entry around one
 /// `n_jobs × n_machines` setting.
 pub struct SchedDomain {
@@ -230,9 +195,9 @@ impl Domain for SchedDomain {
 
     fn tuned_oracle(&self, params: &[f64]) -> Option<Box<dyn GapOracle>> {
         let &[cap_factor] = params else { return None };
-        Some(Box::new(SchedTunedOracle {
-            base: SchedOracle::new(self.n_jobs, self.n_machines),
+        Some(Box::new(SchedOracle {
             cap_factor,
+            ..SchedOracle::new(self.n_jobs, self.n_machines)
         }))
     }
 }

@@ -1,16 +1,17 @@
-//! The parallel batch-analysis executor.
+//! The parallel batch-analysis executor and the per-job engine.
 //!
 //! A *manifest* is JSONL: one [`JobSpec`] per line (domain id +
-//! [`PipelineConfig`] + base seed). The executor submits the jobs to the
-//! shared [`crate::queue::JobQueue`] and drains it with
-//! `std::thread::scope` workers — the same queue the HTTP serving layer
-//! drives, so batch and served executions share one engine.
-//! Determinism is by construction:
+//! [`PipelineConfig`] + base seed). [`run_manifest_opts`] fans the lines
+//! out with [`fan_out`] over `std::thread::scope` workers, each line one
+//! call to `run_job` — the per-job engine the serving queue
+//! ([`crate::queue::JobQueue`]) also calls, so batch and served
+//! executions run the same code. Determinism is by construction:
 //!
 //! * each job's effective pipeline seed is derived from its manifest seed
 //!   and its *position* in the manifest ([`derive_seed`], a splitmix64
 //!   mix) — never from which worker ran it or when;
-//! * results land in per-index slots, so output order is manifest order;
+//! * [`fan_out`] returns results in index order, so output order is
+//!   manifest order;
 //! * [`crate::domain::run_domain`] itself is deterministic given a seed.
 //!
 //! Therefore a manifest run with 1 worker and with N workers yields
@@ -19,19 +20,19 @@
 //! `wall_time_ms`, is moved out of the stored result and into the
 //! [`JobOutcome`] wrapper (the stored copy is normalized to 0).
 //!
-//! Since the streaming redesign each job *is* an
-//! [`xplain_core::session::AnalysisSession`]: the executor drives the
-//! session's event stream, forwards events to an optional sink
-//! ([`RunOptions::sink`] — the `runner --watch` NDJSON feed), enforces
-//! per-job [`SessionBudgets`], and (with [`RunOptions::resume`])
+//! Each job *is* an [`xplain_core::session::AnalysisSession`]: `run_job`
+//! drives the session's event stream, forwards events to an optional
+//! sink ([`RunOptions::sink`] — the `runner --watch` NDJSON feed),
+//! enforces per-job [`SessionBudgets`], and (with [`RunOptions::resume`])
 //! persists a checkpoint through the content-addressed store after every
 //! event so a killed runner continues mid-loop on the next invocation.
+//! A job that panics becomes a [`SessionError::Internal`] outcome at its
+//! own index; the other jobs of the run are unaffected.
 //!
 //! Durability note: batch jobs are deliberately *not* written through
-//! the queue's write-ahead journal ([`crate::journal`]) — the manifest
-//! file is already a durable record of what was requested (rerun it;
-//! completed jobs answer from the store), and positional (index > 0)
-//! jobs would recover under the wrong derived seed. The journal covers
+//! the serving queue's write-ahead journal ([`crate::journal`]) — the
+//! manifest file is already a durable record of what was requested
+//! (rerun it; completed jobs answer from the store). The journal covers
 //! the serving path, where the only record of an accepted job would
 //! otherwise be queue memory; see DESIGN.md §10.
 
@@ -199,7 +200,8 @@ fn effective_workers(requested: usize, n_jobs: usize) -> usize {
 /// Fan `n` index-addressed tasks out across `workers` scoped threads
 /// (0 = auto). Results return in index order regardless of scheduling;
 /// a panicking task propagates (the whole fan-out fails loudly rather
-/// than reporting partial results).
+/// than reporting partial results; manifest jobs never panic out of
+/// `run_job`).
 ///
 /// This is the shared primitive under [`run_manifest`] and the repro
 /// harness's concurrent E1–E9 regeneration.
@@ -272,14 +274,9 @@ pub fn run_manifest(
 }
 
 /// [`run_manifest`] with explicit [`RunOptions`] (budget overrides,
-/// checkpoint resume, event streaming).
-///
-/// Since the serving redesign this is a thin batch driver over the
-/// shared [`crate::queue::JobQueue`] — the same submit/execute machinery
-/// the HTTP server uses — so the two paths cannot diverge: every
-/// manifest line is submitted in order, scoped workers drain the queue,
-/// and outcomes return in manifest order. Determinism is unchanged
-/// (per-job seeds are positional, results land in per-index slots).
+/// checkpoint resume, event streaming): every manifest line is one
+/// `run_job` call at its own index, fanned out over `workers` threads,
+/// and outcomes return in manifest order.
 pub fn run_manifest_opts(
     registry: &DomainRegistry,
     jobs: &[JobSpec],
@@ -287,37 +284,9 @@ pub fn run_manifest_opts(
     workers: usize,
     opts: RunOptions<'_>,
 ) -> Vec<JobOutcome> {
-    use crate::queue::{JobQueue, QueueOptions};
-
-    let queue = JobQueue::new(
-        registry,
-        store,
-        QueueOptions {
-            capacity: 0, // a manifest is finite; never reject
-            resume: opts.resume,
-            budgets_override: opts.budgets_override,
-            record_events: false, // the global sink already observes
-            retain_done: 0,       // into_outcomes needs every slot
-            pace_ms: 0,           // batch runs flat out
-        },
-        opts.sink,
-    );
-    for (index, job) in jobs.iter().enumerate() {
-        queue
-            .submit(job.clone(), index)
-            .expect("unbounded queue accepts every manifest line");
-    }
-    let workers = effective_workers(workers, jobs.len());
-    if workers <= 1 {
-        queue.drain_worker();
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| queue.drain_worker());
-            }
-        });
-    }
-    queue.into_outcomes()
+    fan_out(jobs.len(), workers, |i| {
+        run_job(registry, &jobs[i], i, store, opts, CancelToken::new())
+    })
 }
 
 /// Execute one job spec end to end: cache lookup, optional checkpoint
@@ -325,6 +294,11 @@ pub fn run_manifest_opts(
 /// store commit. The shared per-job engine under both the batch driver
 /// and the serving queue; `cancel` is owned by the caller so a server
 /// can interrupt a running job.
+///
+/// Never panics: a panicking job becomes a [`SessionError::Internal`]
+/// outcome, so neither a long-lived serve worker nor a manifest's other
+/// jobs go down with it (the batch runner still exits nonzero on any
+/// error outcome, so CI stays loud).
 pub(crate) fn run_job(
     registry: &DomainRegistry,
     job: &JobSpec,
@@ -333,22 +307,52 @@ pub(crate) fn run_job(
     opts: RunOptions<'_>,
     cancel: CancelToken,
 ) -> JobOutcome {
-    let start = std::time::Instant::now();
-    let mut config = job.config.clone();
-    config.seed = derive_seed(job.seed, index as u64);
-    let budgets = opts.budgets_override.unwrap_or(job.budgets);
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        drive_job(registry, job, index, store, opts, cancel)
+    }))
+    .unwrap_or_else(|payload| {
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "job panicked with a non-string payload".to_string());
+        JobOutcome {
+            error: Some(SessionError::Internal { message }),
+            ..blank_outcome(job, index)
+        }
+    })
+}
 
-    let mut outcome = JobOutcome {
+/// The outcome of `job` at `index` before anything has run: no result,
+/// no error, no session.
+pub(crate) fn blank_outcome(job: &JobSpec, index: usize) -> JobOutcome {
+    JobOutcome {
         index,
         domain: job.domain.clone(),
-        derived_seed: config.seed,
+        derived_seed: derive_seed(job.seed, index as u64),
         cache_hit: false,
         wall_time_ms: 0,
         solver: SolverCounters::default(),
         result: None,
         error: None,
         finish: None,
-    };
+    }
+}
+
+/// The body of [`run_job`], outside its panic boundary.
+fn drive_job(
+    registry: &DomainRegistry,
+    job: &JobSpec,
+    index: usize,
+    store: Option<&ResultStore>,
+    opts: RunOptions<'_>,
+    cancel: CancelToken,
+) -> JobOutcome {
+    let start = std::time::Instant::now();
+    let mut outcome = blank_outcome(job, index);
+    let mut config = job.config.clone();
+    config.seed = outcome.derived_seed;
+    let budgets = opts.budgets_override.unwrap_or(job.budgets);
 
     let Some(domain) = registry.get(&job.domain) else {
         outcome.error = Some(SessionError::UnknownDomain {
@@ -464,8 +468,136 @@ pub(crate) fn run_job(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use xplain_analyzer::oracle::GapOracle;
+    use xplain_core::explainer::DslMapper;
+    use xplain_core::generalizer::Observation;
+
+    /// A registered domain whose oracle construction panics — the stand-in
+    /// for a buggy third-party heuristic.
+    pub(crate) struct BoomDomain;
+
+    impl crate::domain::Domain for BoomDomain {
+        fn id(&self) -> &str {
+            "boom"
+        }
+        fn description(&self) -> String {
+            "panics on purpose".into()
+        }
+        fn oracle(&self) -> Box<dyn GapOracle> {
+            panic!("kaboom: oracle construction failed")
+        }
+        fn mapper(&self) -> Option<Box<dyn DslMapper>> {
+            None
+        }
+        fn seeds(&self) -> Vec<Vec<f64>> {
+            Vec::new()
+        }
+        fn instance_family(&self, _seed: u64) -> Vec<Observation> {
+            Vec::new()
+        }
+    }
+
+    /// The built-in domains plus [`BoomDomain`].
+    pub(crate) fn registry_with_boom() -> DomainRegistry {
+        let mut registry = DomainRegistry::builtin();
+        registry.register(Box::new(BoomDomain));
+        registry
+    }
+
+    fn tiny_job(domain: &str, seed: u64) -> JobSpec {
+        let mut config = PipelineConfig {
+            max_subspaces: 1,
+            coverage_samples: 20,
+            ..Default::default()
+        };
+        config.significance.pairs = 20;
+        config.explainer.samples = 20;
+        config.explainer.threads = 1;
+        JobSpec {
+            domain: domain.into(),
+            config,
+            seed,
+            budgets: SessionBudgets::unlimited(),
+        }
+    }
+
+    /// An outcome's JSON without its execution metadata (`wall_time_ms`
+    /// and the process-wide solver counters), which differ run to run.
+    fn outcome_bytes(outcome: &JobOutcome) -> String {
+        let mut outcome = outcome.clone();
+        outcome.wall_time_ms = 0;
+        outcome.solver = SolverCounters::default();
+        serde_json::to_string(&outcome).expect("outcome serializes")
+    }
+
+    #[test]
+    fn panicking_manifest_line_is_an_internal_outcome_at_its_index() {
+        let registry = registry_with_boom();
+        let good: Vec<JobSpec> = ["sched", "ff", "no-such-domain"]
+            .iter()
+            .map(|d| tiny_job(d, 11))
+            .collect();
+        let mut with_boom = good.clone();
+        with_boom.push(tiny_job("boom", 11));
+        let reference = run_manifest(&registry, &good, None, 1);
+        for workers in [1, 4] {
+            let outcomes = run_manifest(&registry, &with_boom, None, workers);
+            assert_eq!(outcomes.len(), with_boom.len());
+            let bad = &outcomes[good.len()];
+            assert_eq!(bad.index, good.len());
+            assert_eq!(bad.domain, "boom");
+            assert!(bad.result.is_none());
+            let Some(SessionError::Internal { message }) = &bad.error else {
+                panic!("expected an Internal error, got {:?}", bad.error);
+            };
+            assert!(message.contains("kaboom"), "{message}");
+            for (i, (got, want)) in outcomes.iter().zip(&reference).enumerate() {
+                assert_eq!(
+                    outcome_bytes(got),
+                    outcome_bytes(want),
+                    "job {i} changed next to a panicking line at {workers} workers"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn batch_runs_stamp_the_requested_origin() {
+        let dir = std::env::temp_dir().join(format!("xplain-exec-origin-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = ResultStore::new(&dir);
+        let registry = DomainRegistry::builtin();
+        let jobs = vec![tiny_job("sched", 4)];
+        let opts = RunOptions {
+            origin: Some("batch-7"),
+            ..RunOptions::default()
+        };
+        let outcomes = run_manifest_opts(&registry, &jobs, Some(&store), 1, opts);
+        assert!(outcomes[0].error.is_none());
+        let mut config = jobs[0].config.clone();
+        config.seed = outcomes[0].derived_seed;
+        assert_eq!(store.origin("sched", &config).as_deref(), Some("batch-7"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn run_job_turns_a_panic_into_an_internal_outcome() {
+        let registry = registry_with_boom();
+        let job = tiny_job("boom", 3);
+        let outcome = run_job(
+            &registry,
+            &job,
+            5,
+            None,
+            RunOptions::default(),
+            CancelToken::new(),
+        );
+        assert_eq!(outcome.index, 5);
+        assert_eq!(outcome.derived_seed, derive_seed(3, 5));
+        assert!(matches!(outcome.error, Some(SessionError::Internal { .. })));
+    }
 
     #[test]
     fn derive_seed_is_positional_and_stable() {

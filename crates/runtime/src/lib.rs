@@ -12,13 +12,13 @@
 //! * [`adapters`] — the built-in domains: Demand Pinning (`"dp"`),
 //!   first-fit bin packing (`"ff"`), and LPT makespan scheduling
 //!   (`"sched"` — the third domain, proving the registry is open).
-//! * [`executor`] — the parallel batch engine: JSONL job manifests fanned
-//!   out over `std::thread::scope` workers with deterministic per-job
-//!   seed derivation (1 worker and N workers produce byte-identical
-//!   results).
-//! * [`queue`] — the shared [`queue::JobQueue`]: submit/poll/cancel and
-//!   per-job event tailing, the one engine under both the batch driver
-//!   and the `xplain-serve` HTTP layer.
+//! * [`executor`] — the per-job engine and the parallel batch driver:
+//!   JSONL job manifests fanned out over `std::thread::scope` workers
+//!   with deterministic per-job seed derivation (1 worker and N workers
+//!   produce byte-identical results).
+//! * [`queue`] — the serving tier over that engine,
+//!   [`queue::JobQueue`]: deduplicated submit, poll, cancel and per-job
+//!   event tailing, driven by the `xplain-serve` HTTP layer.
 //! * [`store`] — the content-addressed on-disk result store (JSON keyed
 //!   by a hash of domain id + config); repeated jobs are cache hits,
 //!   corrupted entries degrade to recomputes.

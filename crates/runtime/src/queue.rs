@@ -1,35 +1,34 @@
-//! The shared job queue — one submission/polling/cancellation surface
-//! under both the batch runner and the HTTP serving layer.
+//! The serving job queue — the submission/polling/cancellation surface
+//! the HTTP serving layer drives.
 //!
-//! Before the serving redesign the executor only offered run-to-completion
-//! entry points (`run_manifest*`): hand it a full manifest, get the full
-//! outcome vector back. A server cannot work that way — jobs arrive one
-//! at a time, clients poll and stream while work is in flight, and
-//! identical queries must coalesce. [`JobQueue`] is the shared substrate:
+//! Batch manifests do not come through here: they fan out straight over
+//! the per-job engine ([`crate::executor::run_manifest_opts`]). A server
+//! cannot work that way — jobs arrive one at a time, clients poll and
+//! stream while work is in flight, and identical queries must coalesce.
+//! [`JobQueue`] is that serving tier over the same engine
+//! (`executor::run_job`):
 //!
-//! * **submit** — [`JobQueue::submit`] appends an indexed job (the batch
-//!   path; `run_manifest_opts` is now a thin wrapper that submits every
-//!   manifest line and drains workers over the queue).
-//!   [`JobQueue::submit_deduped`] is the serving path: jobs are keyed by
-//!   their content-addressed store key, so a resubmitted spec joins the
+//! * **submit** — [`JobQueue::submit_deduped`]: jobs are keyed by their
+//!   content-addressed store key, so a resubmitted spec joins the
 //!   in-flight execution, returns the finished outcome, or — when the
 //!   prior execution was cancelled or budget-stopped — starts a new
-//!   execution that resumes from the persisted checkpoint.
+//!   execution that resumes from the persisted checkpoint. A single
+//!   submission has no manifest position: every job runs at index 0
+//!   ([`crate::executor::derive_seed`]), so the same spec derives the
+//!   same seed and id on every shard.
 //! * **poll** — [`JobQueue::poll`] snapshots a job's phase and outcome.
 //! * **cancel** — [`JobQueue::cancel`] fires the job's [`CancelToken`];
-//!   a running session checkpoints through the store (resume mode), so a
-//!   later resubmit continues mid-loop.
-//! * **events** — with [`QueueOptions::record_events`], every session
-//!   event is retained as its NDJSON watch line
-//!   ([`crate::watch::watch_line`]); [`JobQueue::wait_events`] lets any
-//!   number of subscribers tail a job's stream from any offset (the HTTP
-//!   `GET /v1/jobs/{id}/events` endpoint is a loop over it).
+//!   a running session checkpoints through the store (when one is
+//!   attached), so a later resubmit continues mid-loop.
+//! * **events** — every session event is retained as its NDJSON watch
+//!   line ([`crate::watch::watch_line`]); [`JobQueue::wait_events`] lets
+//!   any number of subscribers tail a job's stream from any offset (the
+//!   HTTP `GET /v1/jobs/{id}/events` endpoint is a loop over it).
 //! * **workers** — the queue owns no threads. Callers drive it:
-//!   [`JobQueue::drain_worker`] (batch: run until the queue is empty)
-//!   or [`JobQueue::serve_worker`] (server: block for work until
-//!   [`JobQueue::shutdown`]). Determinism is untouched — per-job seeds
-//!   are positional ([`crate::executor::derive_seed`]), so which worker
-//!   runs a job never matters.
+//!   [`JobQueue::serve_worker`] (block for work until
+//!   [`JobQueue::shutdown`]) or [`JobQueue::drain_worker`] (run until
+//!   the queue is empty — tests drive the scheduler with it). Which
+//!   worker runs a job never changes its bytes.
 //!
 //! Shutdown is graceful by construction: it cancels every queued and
 //! running job, running sessions hit their next event boundary, persist
@@ -42,38 +41,30 @@ use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 use xplain_core::pipeline::PipelineConfig;
-use xplain_core::session::{CancelToken, FinishReason, SessionBudgets, SessionEvent};
+use xplain_core::session::{CancelToken, FinishReason, SessionEvent};
 
 use crate::domain::DomainRegistry;
-use crate::executor::{derive_seed, run_job, EventSink, JobOutcome, JobSpec, RunOptions};
+use crate::executor::{blank_outcome, derive_seed, run_job, JobOutcome, JobSpec, RunOptions};
 use crate::journal::JobJournal;
 use crate::store::ResultStore;
 use crate::tenant::{DrrScheduler, TenantRegistry, TokenBucket};
 use crate::watch::watch_line;
 
-/// Queue-wide execution policy.
+/// Queue-wide execution policy. Every job loads and persists session
+/// checkpoints through the store when one is attached (a cancelled or
+/// killed execution continues mid-loop on resubmit), runs under its own
+/// spec's budgets, and has its events retained for subscribers.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct QueueOptions {
     /// Maximum number of *waiting* (not yet running) jobs; submissions
-    /// beyond it are rejected with [`QueueFull`]. `0` = unbounded (the
-    /// batch default — a manifest is finite by construction).
+    /// beyond it are rejected with [`QueueFull`]. `0` = unbounded.
     pub capacity: usize,
-    /// Load checkpoints before running and persist them per event, so
-    /// cancelled/killed executions continue mid-loop later. Requires a
-    /// store; a no-op without one.
-    pub resume: bool,
-    /// Override every job's budgets (CLI flags beat manifest fields).
-    pub budgets_override: Option<SessionBudgets>,
-    /// Retain each job's events as NDJSON watch lines for subscribers
-    /// ([`JobQueue::wait_events`]). Off for batch runs — the global sink
-    /// already observes events, and manifests can be huge.
-    pub record_events: bool,
     /// Completed jobs retained in memory (outcome + event log) before
     /// the oldest are *evicted* — tombstoned and dropped from the key
     /// index, so a long-lived server's memory stays bounded. An evicted
     /// job's id answers like an unknown job; resubmitting its spec is
     /// served from the store (cache hit) or recomputed. `0` = never
-    /// evict (the batch default — `into_outcomes` needs every slot).
+    /// evict.
     pub retain_done: usize,
     /// Minimum per-worker service time in milliseconds for *executed*
     /// (non-cache-hit) jobs — a serve worker that finishes a job faster
@@ -84,7 +75,7 @@ pub struct QueueOptions {
     /// are, which also makes per-shard capacity machine-independent —
     /// the property the mesh scaling gate
     /// (`crates/mesh/tests/paced_scaling.rs`) relies on.
-    /// Batch workers ([`JobQueue::drain_worker`]) never pace.
+    /// [`JobQueue::drain_worker`] never paces.
     pub pace_ms: u64,
 }
 
@@ -209,12 +200,11 @@ pub struct Submitted {
 pub struct JobView {
     pub id: String,
     pub key: u64,
-    pub index: usize,
     pub domain: String,
     pub phase: JobPhase,
     /// Present once `phase == Done`.
     pub outcome: Option<JobOutcome>,
-    /// Events retained so far (0 unless `record_events`).
+    /// Events retained so far.
     pub events_logged: usize,
     /// This execution was re-enqueued from the write-ahead journal at
     /// startup (its acceptance predates this process).
@@ -322,14 +312,11 @@ enum MemDedup {
 
 struct JobSlot {
     spec: JobSpec,
-    /// Config with the positional seed derived — the store-key input.
-    derived: PipelineConfig,
     key: u64,
-    index: usize,
     domain: String,
     state: SlotState,
     cancel: CancelToken,
-    /// NDJSON watch lines (only when `record_events`).
+    /// NDJSON watch lines.
     events: Vec<String>,
     /// No further events will be appended.
     events_done: bool,
@@ -341,7 +328,7 @@ struct JobSlot {
     /// a client of *this* process (surfaced on `GET /v1/jobs/{id}`).
     recovered: bool,
     /// Tenant attribution of the first submitter (`None` for anonymous
-    /// / batch submissions). Joins from other tenants do not re-home a
+    /// submissions). Joins from other tenants do not re-home a
     /// job — the content key, not the identity, names the work.
     tenant: Option<String>,
 }
@@ -371,19 +358,14 @@ pub struct JobQueue<'a> {
     /// to the shard id, so `origin` metadata records which process
     /// computed each result).
     origin: Option<String>,
-    /// Write-ahead journal for serving-path (index-0 deduplicated)
-    /// submissions: every accept/dispatch/completion is durable before
-    /// it is visible, and [`JobQueue::recover`] re-enqueues what a dead
-    /// process left behind. Batch (positional) jobs are never journaled
-    /// — a manifest is its own durable record.
+    /// Write-ahead journal: every accept/dispatch/completion is durable
+    /// before it is visible, and [`JobQueue::recover`] re-enqueues what
+    /// a dead process left behind.
     journal: Option<&'a JobJournal>,
     /// Tenant directory for weights and quotas. `None` (and open-mode
     /// registries) schedule everything in the anonymous lane with no
     /// quota checks — the pre-tenancy behavior, byte for byte.
     tenants: Option<&'a TenantRegistry>,
-    /// Global observer (the batch `--watch` sink); per-job event logs are
-    /// separate and gated on `record_events`.
-    sink: Option<EventSink<'a>>,
     state: Mutex<QueueState>,
     /// Wakes workers when work arrives or shutdown fires.
     work_cv: Condvar,
@@ -405,7 +387,6 @@ impl<'a> JobQueue<'a> {
         registry: &'a DomainRegistry,
         store: Option<&'a ResultStore>,
         opts: QueueOptions,
-        sink: Option<EventSink<'a>>,
     ) -> Self {
         JobQueue {
             registry,
@@ -414,7 +395,6 @@ impl<'a> JobQueue<'a> {
             origin: None,
             journal: None,
             tenants: None,
-            sink,
             state: Mutex::new(QueueState {
                 slots: Vec::new(),
                 sched: DrrScheduler::new(),
@@ -494,12 +474,10 @@ impl<'a> JobQueue<'a> {
         scheduled
     }
 
-    /// Content-addressed identity of a spec at a manifest position: the
-    /// store key of its domain + seed-derived config.
-    pub fn job_key(spec: &JobSpec, index: usize) -> u64 {
-        let mut config = spec.config.clone();
-        config.seed = derive_seed(spec.seed, index as u64);
-        ResultStore::key(&spec.domain, &config)
+    /// Content-addressed identity of a spec: the store key of its
+    /// domain + seed-derived config.
+    pub fn job_key(spec: &JobSpec) -> u64 {
+        ResultStore::key(&spec.domain, &Self::derived_config(spec))
     }
 
     /// Format a key as the public job id.
@@ -512,33 +490,26 @@ impl<'a> JobQueue<'a> {
         (id.len() == 16).then(|| u64::from_str_radix(id, 16).ok())?
     }
 
-    fn derived_config(spec: &JobSpec, index: usize) -> PipelineConfig {
+    fn derived_config(spec: &JobSpec) -> PipelineConfig {
         let mut config = spec.config.clone();
-        config.seed = derive_seed(spec.seed, index as u64);
+        config.seed = derive_seed(spec.seed, 0);
         config
     }
 
-    fn effective_budgets(&self, spec: &JobSpec) -> SessionBudgets {
-        self.opts.budgets_override.unwrap_or(spec.budgets)
-    }
-
-    fn new_slot(spec: JobSpec, index: usize) -> JobSlot {
-        let derived = Self::derived_config(&spec, index);
-        let key = ResultStore::key(&spec.domain, &derived);
+    fn new_slot(spec: JobSpec, tenant: Option<&str>, recovered: bool) -> JobSlot {
+        let key = Self::job_key(&spec);
         let domain = spec.domain.clone();
         JobSlot {
             spec,
-            derived,
             key,
-            index,
             domain,
             state: SlotState::Queued,
             cancel: CancelToken::new(),
             events: Vec::new(),
             events_done: false,
             donated: false,
-            recovered: false,
-            tenant: None,
+            recovered,
+            tenant: tenant.map(str::to_string),
         }
     }
 
@@ -548,33 +519,8 @@ impl<'a> JobQueue<'a> {
         self.tenants.map(|r| r.weight_of(tenant)).unwrap_or(1)
     }
 
-    /// Append an indexed job (the batch path — no deduplication; a
-    /// manifest may legitimately repeat specs at different positions).
-    /// Returns the slot handle.
-    pub fn submit(&self, spec: JobSpec, index: usize) -> Result<usize, QueueFull> {
-        let mut state = self.state.lock().expect("queue state");
-        if self.opts.capacity > 0 && state.sched.len() >= self.opts.capacity {
-            self.rejected_full.fetch_add(1, Ordering::Relaxed);
-            return Err(QueueFull {
-                depth: state.sched.len(),
-                capacity: self.opts.capacity,
-                tenant: None,
-            });
-        }
-        let slot_idx = state.slots.len();
-        let slot = Self::new_slot(spec, index);
-        state.by_key.insert(slot.key, slot_idx);
-        state.slots.push(slot);
-        state.sched.push(None, 1, slot_idx);
-        self.submitted.fetch_add(1, Ordering::Relaxed);
-        drop(state);
-        self.work_cv.notify_one();
-        Ok(slot_idx)
-    }
-
-    /// The serving path: submit one spec (always at index 0 — a single
-    /// HTTP submission has no manifest position), deduplicated against
-    /// both in-memory jobs and the content-addressed store.
+    /// Submit one spec, deduplicated against both in-memory jobs and the
+    /// content-addressed store.
     ///
     /// Budget caveat: the content key excludes budgets, so an
     /// [`Disposition::InFlight`] join may pin the caller to an execution
@@ -607,11 +553,9 @@ impl<'a> JobQueue<'a> {
         tenant: Option<&str>,
         recovered: bool,
     ) -> Result<Submitted, QueueFull> {
-        let index = 0usize;
-        let derived = Self::derived_config(&spec, index);
+        let derived = Self::derived_config(&spec);
         let key = ResultStore::key(&spec.domain, &derived);
         let id = Self::format_id(key);
-        let budgets = self.effective_budgets(&spec);
 
         // Fast path: answer from in-memory state alone — the hot route
         // for repeat queries, no disk touched.
@@ -632,14 +576,7 @@ impl<'a> JobQueue<'a> {
                 return Ok(self.noted(&mut state, tenant, slot, disposition, id, key))
             }
             Some(MemDedup::Resume) => {
-                return self.enqueue_locked(
-                    state,
-                    spec,
-                    tenant,
-                    index,
-                    Disposition::Resumed,
-                    recovered,
-                )
+                return self.enqueue_locked(state, spec, tenant, Disposition::Resumed, recovered)
             }
             None => {}
         }
@@ -652,7 +589,7 @@ impl<'a> JobQueue<'a> {
         // re-checked: a racing submitter of the same key wins, and the
         // race only cost this thread a wasted read.
         drop(state);
-        let cached = match (budgets.is_unlimited(), self.store) {
+        let cached = match (spec.budgets.is_unlimited(), self.store) {
             (true, Some(store)) => store.lookup(&spec.domain, &derived),
             _ => None,
         };
@@ -662,33 +599,18 @@ impl<'a> JobQueue<'a> {
                 return Ok(self.noted(&mut state, tenant, slot, disposition, id, key))
             }
             Some(MemDedup::Resume) => {
-                return self.enqueue_locked(
-                    state,
-                    spec,
-                    tenant,
-                    index,
-                    Disposition::Resumed,
-                    recovered,
-                )
+                return self.enqueue_locked(state, spec, tenant, Disposition::Resumed, recovered)
             }
             None => {}
         }
 
         if let Some(result) = cached {
             let slot_idx = state.slots.len();
-            let mut slot = Self::new_slot(spec, index);
-            slot.recovered = recovered;
-            slot.tenant = tenant.map(|t| t.to_string());
+            let mut slot = Self::new_slot(spec, tenant, recovered);
             slot.state = SlotState::Done(Box::new(JobOutcome {
-                index,
-                domain: slot.domain.clone(),
-                derived_seed: slot.derived.seed,
                 cache_hit: true,
-                wall_time_ms: 0,
-                solver: Default::default(),
                 result: Some(result),
-                error: None,
-                finish: None,
+                ..blank_outcome(&slot.spec, 0)
             }));
             slot.events_done = true;
             state.by_key.insert(key, slot_idx);
@@ -712,7 +634,7 @@ impl<'a> JobQueue<'a> {
             });
         }
 
-        self.enqueue_locked(state, spec, tenant, index, Disposition::Enqueued, recovered)
+        self.enqueue_locked(state, spec, tenant, Disposition::Enqueued, recovered)
     }
 
     /// Take one submit-rate token for the tenant (if it has a rate
@@ -825,7 +747,6 @@ impl<'a> JobQueue<'a> {
         mut state: std::sync::MutexGuard<'_, QueueState>,
         spec: JobSpec,
         tenant: Option<&str>,
-        index: usize,
         disposition: Disposition,
         recovered: bool,
     ) -> Result<Submitted, QueueFull> {
@@ -859,9 +780,7 @@ impl<'a> JobQueue<'a> {
             return Err(rejection);
         }
         let slot_idx = state.slots.len();
-        let mut slot = Self::new_slot(spec, index);
-        slot.recovered = recovered;
-        slot.tenant = tenant.map(|t| t.to_string());
+        let slot = Self::new_slot(spec, tenant, recovered);
         let (id, key) = (Self::format_id(slot.key), slot.key);
         // Write-ahead: the accept is durable *before* the job becomes
         // visible to workers (we hold the state lock, so no worker can
@@ -870,10 +789,8 @@ impl<'a> JobQueue<'a> {
         // got its receipt, so nothing was promised. Crash after: the
         // journal re-enqueues the job on restart, tenant attribution
         // included.
-        if index == 0 {
-            if let Some(journal) = self.journal {
-                journal.record_accepted(key, &slot.spec, tenant);
-            }
+        if let Some(journal) = self.journal {
+            journal.record_accepted(key, &slot.spec, tenant);
         }
         state.by_key.insert(key, slot_idx);
         state.slots.push(slot);
@@ -924,36 +841,26 @@ impl<'a> JobQueue<'a> {
     /// [`JobQueue::shutdown`]. Caller removes the slot from `pending`.
     fn complete_cancelled_locked(&self, state: &mut QueueState, slot_idx: usize) {
         let slot = &mut state.slots[slot_idx];
-        let budgets = self.effective_budgets(&slot.spec);
         slot.state = SlotState::Done(Box::new(JobOutcome {
-            index: slot.index,
-            domain: slot.domain.clone(),
-            derived_seed: slot.derived.seed,
-            cache_hit: false,
-            wall_time_ms: 0,
-            solver: Default::default(),
-            result: None,
-            error: None,
             finish: Some(crate::executor::SessionFinish {
                 reason: FinishReason::Cancelled,
                 natural: false,
                 resumed: false,
                 events: 0,
-                budgets,
+                budgets: slot.spec.budgets,
             }),
+            ..blank_outcome(&slot.spec, 0)
         }));
         slot.events_done = true;
-        let (key, index) = (slot.key, slot.index);
+        let key = slot.key;
         let tenant = slot.tenant.clone();
         self.cancelled.fetch_add(1, Ordering::Relaxed);
         self.completed.fetch_add(1, Ordering::Relaxed);
         if let Some(tid) = tenant {
             state.tenant_stats.entry(tid).or_default().completed += 1;
         }
-        if index == 0 {
-            if let Some(journal) = self.journal {
-                journal.record_cancelled(key);
-            }
+        if let Some(journal) = self.journal {
+            journal.record_cancelled(key);
         }
         self.mark_done_locked(state, slot_idx);
     }
@@ -987,7 +894,6 @@ impl<'a> JobQueue<'a> {
         JobView {
             id: Self::format_id(slot.key),
             key: slot.key,
-            index: slot.index,
             domain: slot.domain.clone(),
             phase,
             outcome,
@@ -1120,22 +1026,20 @@ impl<'a> JobQueue<'a> {
             .sched
             .projected_order()
             .into_iter()
-            .filter(|&i| !state.slots[i].donated && state.slots[i].index == 0)
+            .filter(|&i| !state.slots[i].donated)
             .count()
     }
 
     /// The work-stealing victim side: hand up to `max` waiting jobs to
     /// a peer. Each donated job is returned as its [`JobSpec`] (the
-    /// thief resubmits it to its own queue — specs are content-keyed at
-    /// index 0, so both sides derive the same id and the same store
-    /// entry), marked so it is never offered twice, and rotated to the
+    /// thief resubmits it to its own queue — specs are content-keyed, so
+    /// both sides derive the same id and the same store entry), marked
+    /// so it is never offered twice, and rotated to the
     /// *back* of the local waiting line rather than removed: the local
     /// execution is the safety net. If the thief finishes first, this
     /// queue's eventual execution answers from the store (cache hit);
     /// if the thief dies, the job simply runs here — a steal can
-    /// duplicate work, never lose it. Only deduplicated (index-0)
-    /// submissions are donated: batch jobs are positional and would
-    /// derive a different seed on the thief.
+    /// duplicate work, never lose it.
     pub fn donate(&self, max: usize) -> Vec<JobSpec> {
         if max == 0 {
             return Vec::new();
@@ -1145,7 +1049,7 @@ impl<'a> JobQueue<'a> {
             .sched
             .projected_order()
             .into_iter()
-            .filter(|&i| !state.slots[i].donated && state.slots[i].index == 0)
+            .filter(|&i| !state.slots[i].donated)
             .take(max)
             .collect();
         if picked.is_empty() {
@@ -1266,7 +1170,7 @@ impl<'a> JobQueue<'a> {
         Some(slot_idx)
     }
 
-    /// Batch worker: run jobs until the queue is empty, then return.
+    /// Run jobs until the queue is empty, then return (no pacing).
     pub fn drain_worker(&self) {
         loop {
             let slot_idx = {
@@ -1317,12 +1221,11 @@ impl<'a> JobQueue<'a> {
     /// cache hit (pacing exempts those — they cost no compute).
     fn execute(&self, slot_idx: usize) -> bool {
         self.active.fetch_add(1, Ordering::Relaxed);
-        let (spec, index, key, domain, cancel) = {
+        let (spec, key, domain, cancel) = {
             let state = self.state.lock().expect("queue state");
             let slot = &state.slots[slot_idx];
             (
                 slot.spec.clone(),
-                slot.index,
                 slot.key,
                 slot.domain.clone(),
                 slot.cancel.clone(),
@@ -1330,56 +1233,26 @@ impl<'a> JobQueue<'a> {
         };
         // Journal the dispatch: a crash mid-run replays as live and the
         // restarted execution resumes from the session checkpoint.
-        if index == 0 {
-            if let Some(journal) = self.journal {
-                journal.record_started(key);
-            }
+        if let Some(journal) = self.journal {
+            journal.record_started(key);
         }
-        let record = self.opts.record_events;
         let sink = |idx: usize, event: &SessionEvent| {
-            if record {
-                let line = watch_line(idx, &domain, event);
-                let mut state = self.state.lock().expect("queue state");
-                state.slots[slot_idx].events.push(line);
-                drop(state);
-                self.event_cv.notify_all();
-            }
-            if let Some(outer) = self.sink {
-                outer(idx, event);
-            }
+            let line = watch_line(idx, &domain, event);
+            let mut state = self.state.lock().expect("queue state");
+            state.slots[slot_idx].events.push(line);
+            drop(state);
+            self.event_cv.notify_all();
         };
+        // Resume is a no-op without a store; with one, cancelled and
+        // interrupted sessions leave resumable checkpoints (the serving
+        // contract).
         let opts = RunOptions {
-            budgets_override: self.opts.budgets_override,
-            resume: self.opts.resume,
+            resume: true,
             sink: Some(&sink),
             origin: self.origin.as_deref(),
+            ..RunOptions::default()
         };
-        // A panicking job must not take a long-lived worker down with it
-        // (the slot would stay Running forever and every poller and
-        // event subscriber would hang). Catch the unwind and convert it
-        // to an error outcome; the batch runner still exits nonzero on
-        // any error outcome, so CI stays loud.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_job(self.registry, &spec, index, self.store, opts, cancel)
-        }))
-        .unwrap_or_else(|payload| {
-            let message = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "job panicked with a non-string payload".to_string());
-            JobOutcome {
-                index,
-                domain: spec.domain.clone(),
-                derived_seed: derive_seed(spec.seed, index as u64),
-                cache_hit: false,
-                wall_time_ms: 0,
-                solver: Default::default(),
-                result: None,
-                error: Some(xplain_core::session::SessionError::Internal { message }),
-                finish: None,
-            }
-        });
+        let outcome = run_job(self.registry, &spec, 0, self.store, opts, cancel);
 
         let cache_hit = outcome.cache_hit;
         if cache_hit {
@@ -1399,13 +1272,11 @@ impl<'a> JobQueue<'a> {
         // with byte-identical results.) Budget-stopped partials journal
         // as done too: the outcome was delivered; only an explicit
         // resubmit resumes them.
-        if index == 0 {
-            if let Some(journal) = self.journal {
-                if was_cancelled {
-                    journal.record_cancelled(key);
-                } else {
-                    journal.record_done(key);
-                }
+        if let Some(journal) = self.journal {
+            if was_cancelled {
+                journal.record_cancelled(key);
+            } else {
+                journal.record_done(key);
             }
         }
 
@@ -1424,30 +1295,12 @@ impl<'a> JobQueue<'a> {
         self.event_cv.notify_all();
         cache_hit
     }
-
-    /// Consume the queue, returning every outcome in submission order.
-    ///
-    /// # Panics
-    /// If any job has not completed, or was evicted — the batch path
-    /// only calls this after its workers drained, and batch queues run
-    /// with `retain_done: 0` (never evict).
-    pub fn into_outcomes(self) -> Vec<JobOutcome> {
-        let state = self.state.into_inner().expect("queue state");
-        state
-            .slots
-            .into_iter()
-            .map(|slot| match slot.state {
-                SlotState::Done(outcome) => *outcome,
-                _ => panic!("into_outcomes called with unfinished or evicted jobs"),
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xplain_core::session::SessionError;
+    use xplain_core::session::{SessionBudgets, SessionError};
 
     fn spec(domain: &str, seed: u64) -> JobSpec {
         JobSpec {
@@ -1460,7 +1313,7 @@ mod tests {
 
     #[test]
     fn ids_roundtrip() {
-        let key = JobQueue::job_key(&spec("dp", 7), 0);
+        let key = JobQueue::job_key(&spec("dp", 7));
         let id = JobQueue::format_id(key);
         assert_eq!(id.len(), 16);
         assert_eq!(JobQueue::parse_id(&id), Some(key));
@@ -1478,7 +1331,6 @@ mod tests {
                 capacity: 1,
                 ..Default::default()
             },
-            None,
         );
         queue.submit_deduped(spec("dp", 1), None).unwrap();
         let err = queue.submit_deduped(spec("dp", 2), None).unwrap_err();
@@ -1493,15 +1345,7 @@ mod tests {
     #[test]
     fn unknown_domain_runs_to_error_outcome_and_dedups_as_done() {
         let registry = DomainRegistry::builtin();
-        let queue = JobQueue::new(
-            &registry,
-            None,
-            QueueOptions {
-                record_events: true,
-                ..Default::default()
-            },
-            None,
-        );
+        let queue = JobQueue::new(&registry, None, QueueOptions::default());
         let sub = queue.submit_deduped(spec("no-such", 1), None).unwrap();
         assert_eq!(sub.disposition, Disposition::Enqueued);
         queue.drain_worker();
@@ -1529,7 +1373,7 @@ mod tests {
     #[test]
     fn cancel_of_queued_job_completes_without_running() {
         let registry = DomainRegistry::builtin();
-        let queue = JobQueue::new(&registry, None, QueueOptions::default(), None);
+        let queue = JobQueue::new(&registry, None, QueueOptions::default());
         let sub = queue.submit_deduped(spec("dp", 9), None).unwrap();
         // No worker running: the job sits queued; cancel it.
         assert_eq!(queue.cancel(sub.key), Some(JobPhase::Queued));
@@ -1551,11 +1395,9 @@ mod tests {
             &registry,
             None,
             QueueOptions {
-                record_events: true,
                 retain_done: 1,
                 ..Default::default()
             },
-            None,
         );
         // Error outcomes complete instantly — cheap Done slots.
         let a = queue.submit_deduped(spec("no-such", 1), None).unwrap();
@@ -1581,7 +1423,7 @@ mod tests {
     #[test]
     fn donate_offers_each_pending_job_once_and_keeps_it_queued() {
         let registry = DomainRegistry::builtin();
-        let queue = JobQueue::new(&registry, None, QueueOptions::default(), None);
+        let queue = JobQueue::new(&registry, None, QueueOptions::default());
         let a = queue.submit_deduped(spec("dp", 1), None).unwrap();
         let b = queue.submit_deduped(spec("ff", 2), None).unwrap();
         assert_eq!(queue.stealable(), 2);
@@ -1598,18 +1440,13 @@ mod tests {
         assert_eq!(pending[1].id, JobQueue::format_id(a.key));
         assert!(pending[1].donated);
         // A thief submitting the donated spec derives the same id.
-        assert_eq!(JobQueue::job_key(&stolen[0], 0), a.key);
+        assert_eq!(JobQueue::job_key(&stolen[0]), a.key);
         let rest = queue.donate(10);
         assert_eq!(rest.len(), 1);
         assert_eq!(rest[0].domain, "ff");
         assert!(queue.donate(10).is_empty());
         assert_eq!(queue.counters().donated, 2);
         assert_eq!(queue.donate(0).len(), 0);
-        // Batch (positional) jobs are never donated: the thief would
-        // derive a different seed at index 0.
-        queue.submit(spec("sched", 3), 5).unwrap();
-        assert_eq!(queue.stealable(), 0);
-        assert!(queue.donate(10).is_empty());
     }
 
     /// The satellite gate for `retain_done`: eviction of the oldest
@@ -1629,11 +1466,9 @@ mod tests {
             &registry,
             None,
             QueueOptions {
-                record_events: true,
                 retain_done: RETAIN,
                 ..Default::default()
             },
-            None,
         );
         let keys = Mutex::new(Vec::<u64>::new());
         let done_seen = AtomicUsize::new(0);
@@ -1709,35 +1544,8 @@ mod tests {
 
     #[test]
     fn panicking_job_becomes_an_error_outcome_not_a_dead_worker() {
-        use xplain_analyzer::oracle::GapOracle;
-        use xplain_core::explainer::DslMapper;
-        use xplain_core::generalizer::Observation;
-
-        struct BoomDomain;
-        impl crate::domain::Domain for BoomDomain {
-            fn id(&self) -> &str {
-                "boom"
-            }
-            fn description(&self) -> String {
-                "panics on purpose".into()
-            }
-            fn oracle(&self) -> Box<dyn GapOracle> {
-                panic!("kaboom: oracle construction failed")
-            }
-            fn mapper(&self) -> Option<Box<dyn DslMapper>> {
-                None
-            }
-            fn seeds(&self) -> Vec<Vec<f64>> {
-                Vec::new()
-            }
-            fn instance_family(&self, _seed: u64) -> Vec<Observation> {
-                Vec::new()
-            }
-        }
-
-        let mut registry = DomainRegistry::empty();
-        registry.register(Box::new(BoomDomain));
-        let queue = JobQueue::new(&registry, None, QueueOptions::default(), None);
+        let registry = crate::executor::tests::registry_with_boom();
+        let queue = JobQueue::new(&registry, None, QueueOptions::default());
         let sub = queue.submit_deduped(spec("boom", 1), None).unwrap();
         // The worker survives the panic…
         queue.drain_worker();
@@ -1774,7 +1582,7 @@ mod tests {
         // waiting line — dropping the queue loses all in-memory state).
         let keys: Vec<u64> = {
             let journal = JobJournal::open(&dir).unwrap();
-            let queue = JobQueue::new(&registry, None, QueueOptions::default(), None)
+            let queue = JobQueue::new(&registry, None, QueueOptions::default())
                 .with_journal(Some(&journal));
             assert_eq!(queue.recover(), 0, "fresh journal recovers nothing");
             [1u64, 2, 3]
@@ -1785,8 +1593,8 @@ mod tests {
 
         // Second life over the same journal dir.
         let journal = JobJournal::open(&dir).unwrap();
-        let queue = JobQueue::new(&registry, None, QueueOptions::default(), None)
-            .with_journal(Some(&journal));
+        let queue =
+            JobQueue::new(&registry, None, QueueOptions::default()).with_journal(Some(&journal));
         let recovered = queue.recover();
         assert_eq!(recovered, 3, "every accepted job comes back");
         assert_eq!(queue.counters().recovered, 3);
@@ -1817,7 +1625,7 @@ mod tests {
         let registry = DomainRegistry::builtin();
         {
             let journal = JobJournal::open(&dir).unwrap();
-            let queue = JobQueue::new(&registry, None, QueueOptions::default(), None)
+            let queue = JobQueue::new(&registry, None, QueueOptions::default())
                 .with_journal(Some(&journal));
             // One job runs to its (error) outcome…
             let done = queue.submit_deduped(spec("no-such", 1), None).unwrap();
@@ -1838,25 +1646,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Batch (positional) submissions never touch the journal — a
-    /// manifest is its own durable record, and positional seeds would
-    /// not survive an index-0 re-enqueue anyway.
-    #[test]
-    fn journal_ignores_batch_submissions() {
-        let dir = journal_scratch("batch");
-        let registry = DomainRegistry::builtin();
-        {
-            let journal = JobJournal::open(&dir).unwrap();
-            let queue = JobQueue::new(&registry, None, QueueOptions::default(), None)
-                .with_journal(Some(&journal));
-            queue.submit(spec("no-such", 1), 5).unwrap();
-            assert_eq!(journal.stats().live_jobs, 0);
-        }
-        let journal = JobJournal::open(&dir).unwrap();
-        assert!(journal.take_recovered().is_empty());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     /// The satellite pin for `retain_done` vs a live tail: a subscriber
     /// mid-tail when its job is evicted must observe termination (the
     /// `None` truncation answer) promptly — never hang, never a
@@ -1870,11 +1659,9 @@ mod tests {
             &registry,
             None,
             QueueOptions {
-                record_events: true,
                 retain_done: 1,
                 ..Default::default()
             },
-            None,
         );
         let a = queue.submit_deduped(spec("no-such", 1), None).unwrap();
         queue.drain_worker();
@@ -1926,7 +1713,7 @@ mod tests {
     #[test]
     fn shutdown_cancels_queued_work() {
         let registry = DomainRegistry::builtin();
-        let queue = JobQueue::new(&registry, None, QueueOptions::default(), None);
+        let queue = JobQueue::new(&registry, None, QueueOptions::default());
         let a = queue.submit_deduped(spec("dp", 1), None).unwrap();
         let b = queue.submit_deduped(spec("ff", 2), None).unwrap();
         queue.shutdown();

@@ -147,7 +147,7 @@ fn run_two_tenant_queue(workers: usize) -> Vec<String> {
     let registry = DomainRegistry::builtin();
     let tenants = TenantRegistry::from_json(TWO_TENANTS).expect("config parses");
     let queue =
-        JobQueue::new(&registry, None, QueueOptions::default(), None).with_tenants(Some(&tenants));
+        JobQueue::new(&registry, None, QueueOptions::default()).with_tenants(Some(&tenants));
     let mut subs = Vec::new();
     for (tenant, seed) in [
         ("heavy", 10),
@@ -199,7 +199,7 @@ fn queue_dispatch_interleaves_by_weight() {
     let registry = DomainRegistry::builtin();
     let tenants = TenantRegistry::from_json(TWO_TENANTS).expect("config parses");
     let queue =
-        JobQueue::new(&registry, None, QueueOptions::default(), None).with_tenants(Some(&tenants));
+        JobQueue::new(&registry, None, QueueOptions::default()).with_tenants(Some(&tenants));
     let mut heavy_ids = Vec::new();
     let mut light_ids = Vec::new();
     for seed in 0..6u64 {

@@ -11,6 +11,8 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
+use crate::http::{MAX_HEAD_BYTES, MAX_RESPONSE_BYTES};
+
 /// First wait between [`Client::post_retry`] attempts when the server
 /// sends no `Retry-After` hint; doubles per retry up to the cap.
 pub const RETRY_BACKOFF_BASE: Duration = Duration::from_millis(25);
@@ -228,9 +230,17 @@ fn bad_data(message: impl Into<String>) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, message.into())
 }
 
+/// One head or chunk-size line, at most [`MAX_HEAD_BYTES`] long.
 fn read_line(reader: &mut BufReader<TcpStream>) -> std::io::Result<String> {
     let mut line = String::new();
-    reader.read_line(&mut line)?;
+    reader
+        .take(MAX_HEAD_BYTES as u64 + 1)
+        .read_line(&mut line)?;
+    if line.len() > MAX_HEAD_BYTES {
+        return Err(bad_data(format!(
+            "response line over the {MAX_HEAD_BYTES}-byte cap"
+        )));
+    }
     while line.ends_with('\n') || line.ends_with('\r') {
         line.pop();
     }
@@ -271,32 +281,58 @@ fn read_body(
     let mut raw = Vec::new();
     if header_value(headers, "transfer-encoding").is_some_and(|v| v.eq_ignore_ascii_case("chunked"))
     {
-        while let Some(chunk) = read_chunk(reader)? {
-            raw.extend_from_slice(&chunk);
-        }
+        while read_chunk(reader, &mut raw)? {}
     } else if let Some(len) = header_value(headers, "content-length") {
-        let len: usize = len.parse().map_err(|_| bad_data("bad content-length"))?;
-        raw.resize(len, 0);
-        reader.read_exact(&mut raw)?;
+        let len: u64 = len.parse().map_err(|_| bad_data("bad content-length"))?;
+        read_sized(reader, len, &mut raw)?;
     } else {
-        reader.read_to_end(&mut raw)?;
+        reader
+            .take(MAX_RESPONSE_BYTES as u64 + 1)
+            .read_to_end(&mut raw)?;
+        if raw.len() > MAX_RESPONSE_BYTES {
+            return Err(over_cap(raw.len() as u64));
+        }
     }
     String::from_utf8(raw).map_err(|_| bad_data("response body is not UTF-8"))
 }
 
-/// One chunk of a chunked body; `None` at the terminating zero chunk.
-fn read_chunk(reader: &mut BufReader<TcpStream>) -> std::io::Result<Option<Vec<u8>>> {
+fn over_cap(len: u64) -> std::io::Error {
+    bad_data(format!(
+        "response of {len} bytes is over the {MAX_RESPONSE_BYTES}-byte cap"
+    ))
+}
+
+/// Append exactly `len` more bytes to `out`. A total over
+/// [`MAX_RESPONSE_BYTES`] is refused before reading, and `out` grows only
+/// as bytes arrive — the peer's number never sizes an allocation.
+fn read_sized(reader: &mut impl Read, len: u64, out: &mut Vec<u8>) -> std::io::Result<()> {
+    let total = (out.len() as u64).saturating_add(len);
+    if total > MAX_RESPONSE_BYTES as u64 {
+        return Err(over_cap(total));
+    }
+    let read = reader.take(len).read_to_end(out)?;
+    if (read as u64) < len {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            format!("response ended {} bytes short", len - read as u64),
+        ));
+    }
+    Ok(())
+}
+
+/// Append one chunk of a chunked body to `out`; `false` at the
+/// terminating zero chunk.
+fn read_chunk(reader: &mut BufReader<TcpStream>, out: &mut Vec<u8>) -> std::io::Result<bool> {
     let size_line = read_line(reader)?;
-    let size = usize::from_str_radix(size_line.trim(), 16)
+    let size = u64::from_str_radix(size_line.trim(), 16)
         .map_err(|_| bad_data(format!("bad chunk size '{size_line}'")))?;
     if size == 0 {
         let _ = read_line(reader); // trailing CRLF after the last chunk
-        return Ok(None);
+        return Ok(false);
     }
-    let mut data = vec![0u8; size];
-    reader.read_exact(&mut data)?;
+    read_sized(reader, size, out)?;
     let _ = read_line(reader)?; // chunk-terminating CRLF
-    Ok(Some(data))
+    Ok(true)
 }
 
 /// Incremental line reader over a (possibly chunked) NDJSON stream.
@@ -334,15 +370,14 @@ impl EventStream {
                 return Ok(Some(line));
             }
             if self.chunked {
-                match read_chunk(&mut self.reader)? {
-                    Some(chunk) => self.buffer.extend_from_slice(&chunk),
-                    None => self.done = true,
-                }
+                self.done = !read_chunk(&mut self.reader, &mut self.buffer)?;
             } else {
                 let mut byte = [0u8; 1024];
                 let n = self.reader.read(&mut byte)?;
                 if n == 0 {
                     self.done = true;
+                } else if self.buffer.len() + n > MAX_RESPONSE_BYTES {
+                    return Err(over_cap((self.buffer.len() + n) as u64));
                 } else {
                     self.buffer.extend_from_slice(&byte[..n]);
                 }
@@ -383,7 +418,9 @@ mod tests {
         }
     }
 
-    fn fake_server(responses: Vec<&'static str>) -> (SocketAddr, std::thread::JoinHandle<usize>) {
+    fn fake_server<S: AsRef<str> + Send + 'static>(
+        responses: Vec<S>,
+    ) -> (SocketAddr, std::thread::JoinHandle<usize>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let join = std::thread::spawn(move || {
@@ -391,7 +428,7 @@ mod tests {
             for response in responses {
                 let (mut stream, _) = listener.accept().unwrap();
                 read_full_request(&mut stream);
-                stream.write_all(response.as_bytes()).unwrap();
+                stream.write_all(response.as_ref().as_bytes()).unwrap();
                 served += 1;
             }
             served
@@ -468,5 +505,88 @@ mod tests {
         let response = client.post_retry("/v1/jobs", "{}", 5).unwrap();
         assert_eq!(response.status, 200);
         assert_eq!(server.join().unwrap(), 1, "no retry on success");
+    }
+
+    /// Serve `response` once and return what a buffered POST and a
+    /// streaming POST make of it.
+    fn fetch_both(
+        response: String,
+    ) -> (std::io::Result<HttpResponse>, std::io::Result<Vec<String>>) {
+        let (addr, server) = fake_server(vec![response.clone(), response]);
+        let client = Client::new(addr).with_timeout(Duration::from_secs(5));
+        let buffered = client.post("/v1/jobs", "{}");
+        let streamed = client
+            .stream_post("/v1/tune", "{}")
+            .and_then(|(_, _, mut events)| events.collect_lines());
+        assert_eq!(server.join().unwrap(), 2);
+        (buffered, streamed)
+    }
+
+    fn assert_refused<T: std::fmt::Debug>(result: std::io::Result<T>) {
+        let err = result.expect_err("an over-cap length must be refused");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("cap"), "{err}");
+    }
+
+    #[test]
+    fn huge_content_length_is_refused_without_allocating() {
+        // 2^62 bytes: sizing a buffer from it aborts the process.
+        let (buffered, streamed) = fetch_both(
+            "HTTP/1.1 200 OK\r\nContent-Length: 4611686018427387904\r\n\r\nok".to_string(),
+        );
+        assert_refused(buffered);
+        // A streaming read of a fixed-length body is not sized from the
+        // header; it reads what arrives.
+        assert_eq!(streamed.unwrap(), vec!["ok".to_string()]);
+
+        let just_over = format!(
+            "HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\nok",
+            MAX_RESPONSE_BYTES + 1
+        );
+        assert_refused(fetch_both(just_over).0);
+    }
+
+    #[test]
+    fn huge_chunk_size_is_refused() {
+        let (buffered, streamed) = fetch_both(
+            "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nffffffffffffffff\r\nok\r\n0\r\n\r\n"
+                .to_string(),
+        );
+        assert_refused(buffered);
+        assert_refused(streamed);
+    }
+
+    #[test]
+    fn chunks_summing_over_the_cap_are_refused() {
+        // Each chunk is under the cap; together they are over it. The
+        // second size is refused before any of its bytes are read.
+        let response = format!(
+            "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nok\r\n{:x}\r\nxx\r\n0\r\n\r\n",
+            MAX_RESPONSE_BYTES - 1
+        );
+        let (buffered, streamed) = fetch_both(response);
+        assert_refused(buffered);
+        assert_refused(streamed);
+    }
+
+    #[test]
+    fn an_endless_header_line_is_refused() {
+        let response = format!(
+            "HTTP/1.1 200 OK\r\nX-Filler: {}\r\n\r\nok",
+            "a".repeat(MAX_HEAD_BYTES + 1)
+        );
+        let (buffered, streamed) = fetch_both(response);
+        assert_refused(buffered);
+        assert_refused(streamed);
+    }
+
+    #[test]
+    fn chunked_bodies_under_the_cap_still_read() {
+        let (buffered, streamed) = fetch_both(
+            "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n3\r\na\nb\r\n2\r\nc\n\r\n0\r\n\r\n"
+                .to_string(),
+        );
+        assert_eq!(buffered.unwrap().body, "a\nbc\n");
+        assert_eq!(streamed.unwrap(), vec!["a".to_string(), "bc".to_string()]);
     }
 }

@@ -18,6 +18,10 @@ use std::time::Instant;
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Cap on request bodies (a `JobSpec` is ~1KB; 1MB is generous).
 pub const MAX_BODY_BYTES: usize = 1024 * 1024;
+/// Cap on what [`crate::Client`] buffers from a peer: a whole response
+/// body, or the unterminated line of an event stream. A length the peer
+/// announces beyond it is refused before any byte is read.
+pub const MAX_RESPONSE_BYTES: usize = 64 * 1024 * 1024;
 
 /// A parsed request.
 #[derive(Debug, Clone)]

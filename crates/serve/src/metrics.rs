@@ -322,7 +322,7 @@ mod tests {
     #[test]
     fn report_reflects_observations_and_queue_state() {
         let registry = DomainRegistry::builtin();
-        let queue = JobQueue::new(&registry, None, QueueOptions::default(), None);
+        let queue = JobQueue::new(&registry, None, QueueOptions::default());
         let metrics = ServerMetrics::new();
         for ms in [1.0, 2.0, 4.0] {
             metrics.observe("GET /v1/metrics", ms);
@@ -358,7 +358,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("xplain-metrics-bank-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = xplain_runtime::ResultStore::new(&dir);
-        let queue = JobQueue::new(&registry, Some(&store), QueueOptions::default(), None);
+        let queue = JobQueue::new(&registry, Some(&store), QueueOptions::default());
         let metrics = ServerMetrics::new();
         let report = metrics.report(&queue, Some(&store), None, None, None);
         let bank = report.bank.as_ref().expect("bank block present");
@@ -371,7 +371,7 @@ mod tests {
     #[test]
     fn mesh_gauges_ride_the_metrics_surface() {
         let registry = DomainRegistry::builtin();
-        let queue = JobQueue::new(&registry, None, QueueOptions::default(), None);
+        let queue = JobQueue::new(&registry, None, QueueOptions::default());
         let metrics = ServerMetrics::new();
         let mesh = MeshStatus::new("shard-1");
         mesh.set_view(3, 4, 2);
@@ -395,7 +395,7 @@ mod tests {
     #[test]
     fn tenants_block_absent_in_open_mode_present_when_enforcing() {
         let registry = DomainRegistry::builtin();
-        let queue = JobQueue::new(&registry, None, QueueOptions::default(), None);
+        let queue = JobQueue::new(&registry, None, QueueOptions::default());
         let metrics = ServerMetrics::new();
 
         // Open mode: the key must be ABSENT, not null — byte-for-byte

@@ -187,16 +187,9 @@ impl Server {
             store.as_ref(),
             QueueOptions {
                 capacity: self.config.capacity,
-                // Cancelled/interrupted sessions must leave resumable
-                // checkpoints — the serving contract — so resume mode is
-                // on whenever there is somewhere to persist them.
-                resume: store.is_some(),
-                budgets_override: None,
-                record_events: true,
                 retain_done: self.config.retain_done,
                 pace_ms: self.config.pace_ms,
             },
-            None,
         )
         .with_origin(self.config.shard_id.clone())
         .with_journal(journal.as_ref())
