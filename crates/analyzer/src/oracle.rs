@@ -64,13 +64,12 @@ impl<T: GapOracle + ?Sized> GapOracle for &T {
 /// stage is skipped), and the oracle keeps prepared
 /// [`TeLexSolver`](xplain_domains::te::TeLexSolver)s:
 /// the stage LPs are standardized once and every evaluation re-solves
-/// them through rhs deltas on warm bases — no per-evaluation model
-/// build. Solvers live in a [`TeLexSolverStack`], so the explainer's
-/// sample threads each hold one for the duration of an evaluation and
-/// the stack stays warm from then on. A warm solve's total is summed at
-/// whichever optimal vertex it lands on, so a gap's trailing bits can
-/// depend on the drawn solver's history; only cold solvers (a fresh
-/// oracle, or the one-shot [`DemandPinning::gap`]) agree bit for bit.
+/// them through rhs deltas — no per-evaluation model build. Solvers live
+/// in a [`TeLexSolverStack`], so the explainer's sample threads each
+/// hold one for the duration of an evaluation. Each evaluation starts
+/// warm from the solver's anchor basis (the box centre's), so a gap is
+/// a function of (problem, point) alone: a fresh oracle, a long-lived
+/// one and the one-shot [`DemandPinning::gap`] agree bit for bit.
 pub struct DpOracle {
     pub problem: TeProblem,
     pub heuristic: DemandPinning,
@@ -86,13 +85,6 @@ impl DpOracle {
             heuristic: DemandPinning::new(threshold),
             solvers,
         }
-    }
-
-    /// Aggregate solver statistics accumulated by this oracle's solvers
-    /// (checked-in solvers only — an evaluation in flight on another
-    /// thread contributes once it returns its solver).
-    pub fn solver_stats(&self) -> xplain_lp::SolverStats {
-        self.solvers.stats()
     }
 }
 
@@ -249,6 +241,35 @@ mod tests {
     fn dp_oracle_zero_point() {
         let oracle = DpOracle::new(TeProblem::fig1a(), 50.0);
         assert!(oracle.gap(&[0.0, 0.0, 0.0]).abs() < 1e-6);
+    }
+
+    /// Points at which `warm` (kept across every earlier point) and a
+    /// fresh oracle disagree in a gap's bits, over 300 seeded points.
+    fn history_mismatches(problem: TeProblem) -> usize {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(21);
+        let warm = DpOracle::new(problem.clone(), 50.0);
+        let cap = problem.demand_cap;
+        (0..300)
+            .filter(|_| {
+                let x: Vec<f64> = (0..warm.dims()).map(|_| rng.gen_range(0.0..=cap)).collect();
+                let fresh = DpOracle::new(problem.clone(), 50.0);
+                warm.gap(&x).to_bits() != fresh.gap(&x).to_bits()
+            })
+            .count()
+    }
+
+    /// A gap is a function of (problem, point) alone: an oracle that has
+    /// solved earlier points returns the bits a fresh oracle does, so a
+    /// replay, a resume or a rebuilt oracle re-evaluates a finding
+    /// exactly.
+    #[test]
+    fn dp_oracle_gap_does_not_depend_on_solver_history() {
+        let mismatches = (
+            history_mismatches(TeProblem::fig1a()),
+            history_mismatches(TeProblem::fig4a()),
+        );
+        assert_eq!(mismatches, (0, 0), "(fig1a, fig4a) points of 300");
     }
 
     #[test]

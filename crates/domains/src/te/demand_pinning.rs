@@ -53,7 +53,8 @@ impl DemandPinning {
         volumes.iter().map(|&d| d <= self.threshold).collect()
     }
 
-    /// Run the heuristic (one-shot: builds a [`TeLexSolver`] per call).
+    /// Run the heuristic (one-shot: builds a [`TeLexSolver`] per call;
+    /// the same bits as [`DemandPinning::solve_with`] on any solver).
     ///
     /// Errors are either LP failures or, in strict mode, a pinned demand
     /// that does not fit its shortest path.
@@ -63,8 +64,9 @@ impl DemandPinning {
     }
 
     /// [`DemandPinning::solve`] through a caller-held [`TeLexSolver`] for
-    /// `problem`: the phase-2 LP re-solves by rhs deltas — no
-    /// per-evaluation model build.
+    /// `problem`: the phase-2 LP re-solves by rhs deltas from the
+    /// solver's anchor — no per-evaluation model build, and the same
+    /// allocation whatever the solver solved before.
     pub fn solve_with(
         &self,
         problem: &TeProblem,
@@ -72,6 +74,7 @@ impl DemandPinning {
         solver: &mut TeLexSolver,
     ) -> Result<TeAllocation, DpError> {
         let pin = self.pin_phase(problem, volumes)?;
+        solver.restore_anchor();
         let alloc = solver
             .solve_max_flow_lex(volumes, Some(&pin.pass.residual), &pin.pass.pinned)
             .map_err(DpError::Lp)?;
@@ -141,7 +144,8 @@ impl DemandPinning {
 
     /// The performance gap `OPT(volumes) - DP(volumes)` (nonnegative up to
     /// LP tolerance, since DP is a restriction of OPT). One-shot: builds a
-    /// [`TeLexSolver`] per call.
+    /// [`TeLexSolver`] per call; the same bits as
+    /// [`DemandPinning::gap_with`] on any solver.
     pub fn gap(&self, problem: &TeProblem, volumes: &[f64]) -> Result<f64, DpError> {
         let mut solver = problem.lex_solver().map_err(DpError::Lp)?;
         self.gap_with(problem, volumes, &mut solver)
@@ -151,13 +155,16 @@ impl DemandPinning {
     /// `problem`. The gap is OPT's stage-1 total minus (pinned total +
     /// phase-2 stage-1 total): two stage-1 solves via
     /// [`TeLexSolver::total_flow`], since a total needs no lexicographic
-    /// vertex.
+    /// vertex. The first starts from the solver's anchor and the second
+    /// from where the first ended, so the gap is a function of (problem,
+    /// volumes) alone.
     pub fn gap_with(
         &self,
         problem: &TeProblem,
         volumes: &[f64],
         solver: &mut TeLexSolver,
     ) -> Result<f64, DpError> {
+        solver.restore_anchor();
         let opt_total = solver.total_flow(volumes, None, &[]).map_err(DpError::Lp)?;
         let pin = self.pin_pass(problem, volumes, |_, _| {})?;
         let phase2_total = solver

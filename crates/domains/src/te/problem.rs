@@ -6,7 +6,7 @@ use crate::te::topology::Topology;
 use serde::{Deserialize, Serialize};
 use std::sync::{Mutex, MutexGuard};
 use xplain_lp::{
-    Cmp, LinExpr, LpError, Model, Prepared, Sense, SolverSession, SolverStats, VarType,
+    Cmp, LinExpr, LpError, Model, Prepared, Sense, SolverSession, SolverStats, VarType, WarmBasis,
 };
 
 /// A demand endpoint pair (amounts are supplied separately — they are the
@@ -184,8 +184,9 @@ impl TeProblem {
     /// routing for these demands, whereas the optimal does not" — so the
     /// explainer's heat-map contrasts are crisp (see DESIGN.md §6).
     ///
-    /// One-shot: builds a [`TeLexSolver`] per call. Sweeps over demand
-    /// vectors hold one solver and call [`TeLexSolver::optimal`].
+    /// One-shot: builds a [`TeLexSolver`] per call and solves from its
+    /// anchor, so the result equals, bit for bit, a sweep's
+    /// [`TeLexSolver::optimal`] at the same point.
     pub fn optimal(&self, volumes: &[f64]) -> Result<TeAllocation, LpError> {
         self.lex_solver()?.optimal(volumes)
     }
@@ -212,18 +213,35 @@ impl TeProblem {
     /// Build a [`TeLexSolver`]: both lexicographic stage LPs standardized
     /// once, so sweeps over demand vectors (the analyzer's probe fan-out)
     /// re-solve through rhs deltas with no per-evaluation model build.
+    ///
+    /// The solver also solves both stages once at the anchor point, the
+    /// box centre (`demand_cap / 2` for every demand), and keeps each
+    /// stage's final basis for [`TeLexSolver::restore_anchor`]. Then it
+    /// forgets the bases, so its first solve without a restore is cold.
+    /// The anchor is a function of the problem alone. A stage whose
+    /// anchor solve fails has no anchor, and its restores start cold.
     pub fn lex_solver(&self) -> Result<TeLexSolver, LpError> {
         let model = self.max_flow_model(&vec![0.0; self.num_demands()], None, &[]);
         let stage1 = Prepared::new(&model)?;
         let stage2 = Prepared::new(&self.lex_stage2_model(model, 0.0))?;
-        Ok(TeLexSolver {
+        let mut solver = TeLexSolver {
             stage1,
             stage2,
             path_counts: self.paths.iter().map(|ps| ps.len()).collect(),
             link_caps: self.topology.links.iter().map(|l| l.capacity).collect(),
             session1: SolverSession::new(),
             session2: SolverSession::new(),
-        })
+            anchor1: None,
+            anchor2: None,
+        };
+        let centre = vec![self.demand_cap / 2.0; self.num_demands()];
+        if solver.solve_max_flow_lex(&centre, None, &[]).is_ok() {
+            solver.anchor1 = solver.session1.snapshot();
+            solver.anchor2 = solver.session2.snapshot();
+        }
+        solver.session1.reset();
+        solver.session2.reset();
+        Ok(solver)
     }
 
     /// Total link load of an allocation, per link.
@@ -282,9 +300,17 @@ impl TeProblem {
 /// total pin) before re-solving. The rhs computation mirrors
 /// [`TeProblem::max_flow_model`] bit for bit and a prepared solve equals
 /// the model solve it stands for, so a solve returns *byte-identical*
-/// solutions to building the stage models afresh — pinned by
-/// `te_lex_solver_matches_model_path` below and the analyzer's replay
-/// suite.
+/// solutions to building the stage models afresh through sessions with
+/// the same history — pinned by `te_lex_solver_matches_model_path`
+/// below.
+///
+/// A warm solve lands on whichever optimal vertex its start basis leads
+/// to, and max-flow optima are not unique, so the flows and the trailing
+/// bits of a total depend on that start. Every DP evaluation therefore
+/// first calls [`TeLexSolver::restore_anchor`], which starts both stages
+/// from the bases [`TeProblem::lex_solver`] kept at the box centre: its
+/// result is a function of (problem, point) alone, whichever solver it
+/// ran on and whatever that solver solved before, and it is warm.
 pub struct TeLexSolver {
     stage1: Prepared,
     stage2: Prepared,
@@ -295,6 +321,17 @@ pub struct TeLexSolver {
     link_caps: Vec<f64>,
     session1: SolverSession,
     session2: SolverSession,
+    /// Each stage's final basis at the anchor point.
+    anchor1: Option<WarmBasis>,
+    anchor2: Option<WarmBasis>,
+}
+
+/// Start `session`'s next solve from `anchor`, or cold without one.
+fn restore_or_reset(session: &mut SolverSession, anchor: Option<&WarmBasis>) {
+    match anchor {
+        Some(basis) => session.restore(basis),
+        None => session.reset(),
+    }
 }
 
 /// The stage-2 `lex_total` pin for a stage-1 optimum: a tiny slack, just
@@ -369,9 +406,18 @@ impl TeLexSolver {
         })
     }
 
-    /// The benchmark (see [`TeProblem::optimal`]) through the prepared LPs.
+    /// The benchmark (see [`TeProblem::optimal`]) through the prepared
+    /// LPs, solved from the anchor.
     pub fn optimal(&mut self, volumes: &[f64]) -> Result<TeAllocation, LpError> {
+        self.restore_anchor();
         self.solve_max_flow_lex(volumes, None, &[])
+    }
+
+    /// Start the next solve of each stage from its anchor basis (see
+    /// [`TeProblem::lex_solver`]) instead of the last solve's basis.
+    pub fn restore_anchor(&mut self) {
+        restore_or_reset(&mut self.session1, self.anchor1.as_ref());
+        restore_or_reset(&mut self.session2, self.anchor2.as_ref());
     }
 
     /// The maximum total flow alone — stage 1's objective, skipping the
@@ -396,19 +442,6 @@ impl TeLexSolver {
         Ok(self.session1.solve_prepared(&self.stage1)?.objective)
     }
 
-    /// Forget every cached basis, so the next solve starts cold.
-    ///
-    /// A cold solve's vertex depends only on the input — exactly the
-    /// model-building path's behavior, minus the per-call model build and
-    /// standardization. Callers that need vertex determinism across
-    /// threads (the explainer's DSL mappers) reset a reused solver before
-    /// each evaluation; the sessions keep their workspaces, so the reset
-    /// solver allocates no more than a warm one.
-    pub fn reset(&mut self) {
-        self.session1.reset();
-        self.session2.reset();
-    }
-
     /// Solver statistics of both stage sessions, summed.
     pub fn stats(&self) -> SolverStats {
         let mut total = self.session1.stats;
@@ -422,8 +455,11 @@ impl TeLexSolver {
 /// Callers that fan evaluations across threads (the gap oracle, the
 /// explainer's DSL mapper) pop a solver, use it, and push it back: the
 /// lock is held only to pop and push, and the stack grows to the peak
-/// number of concurrent callers. A poisoned stack (a panicked sibling
-/// thread) still holds valid solvers, so it is used as is.
+/// number of concurrent callers. Those callers start every solve from
+/// the anchor ([`TeLexSolver::restore_anchor`]), so which solver a
+/// thread draws does not change what it computes. A poisoned stack (a
+/// panicked sibling thread) still holds valid solvers, so it is used as
+/// is.
 pub struct TeLexSolverStack {
     solvers: Mutex<Vec<TeLexSolver>>,
 }
@@ -458,16 +494,6 @@ impl TeLexSolverStack {
         let out = f(&mut solver);
         self.lock().push(solver);
         Ok(out)
-    }
-
-    /// Aggregate solver statistics of the checked-in solvers (one in
-    /// flight on another thread contributes once it is returned).
-    pub fn stats(&self) -> SolverStats {
-        let mut total = SolverStats::default();
-        for s in self.lock().iter() {
-            total.absorb(&s.stats());
-        }
-        total
     }
 }
 
@@ -519,6 +545,32 @@ mod tests {
         // Residual-capacity + skip route (the DP phase-2 shape).
         let caps = vec![50.0, 50.0, 50.0, 50.0, 50.0];
         check(&[100.0, 100.0, 100.0], Some(&caps), &[true, false, false]);
+    }
+
+    /// Solves started from the anchor are warm at every point: over
+    /// seeded fig1a points, every lexicographic solve and every total is
+    /// a warm hit, and none rebuilds the factorization. Only the two
+    /// anchor solves that built the solver ran cold.
+    #[test]
+    fn anchored_solves_are_warm_and_never_refactorize() {
+        use rand::{Rng, SeedableRng};
+        let p = TeProblem::fig1a();
+        let mut solver = p.lex_solver().unwrap();
+        let built = solver.stats();
+        assert_eq!((built.solves, built.cold_starts), (2, 2));
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        for _ in 0..200 {
+            let x: Vec<f64> = (0..3).map(|_| rng.gen_range(0.0..=100.0)).collect();
+            solver.restore_anchor();
+            solver.solve_max_flow_lex(&x, None, &[]).unwrap();
+            solver.restore_anchor();
+            solver.total_flow(&x, None, &[]).unwrap();
+        }
+        let work = solver.stats().diff(&built);
+        assert_eq!(work.solves, 600);
+        assert_eq!(work.warm_hits, 600);
+        assert_eq!(work.cold_starts, 0);
+        assert_eq!(work.refactorizations, 0);
     }
 
     #[test]

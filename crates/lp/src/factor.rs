@@ -163,6 +163,17 @@ impl Factorization {
         self.updates += 1;
     }
 
+    /// Become an exact copy of `other`'s factorization (the build scratch
+    /// is not copied), reusing this one's buffers: allocation-free once
+    /// they have grown to `other`'s size.
+    pub fn copy_from(&mut self, other: &Factorization) {
+        self.m = other.m;
+        self.row_of_pos.clone_from(&other.row_of_pos);
+        self.nz.clone_from(&other.nz);
+        self.etas.clone_from(&other.etas);
+        self.updates = other.updates;
+    }
+
     /// Update etas appended since the base build.
     pub fn updates(&self) -> usize {
         self.updates

@@ -50,4 +50,4 @@ pub use error::LpError;
 pub use expr::{LinExpr, VarId};
 pub use milp::{Backend, MilpStats};
 pub use model::{Cmp, Constraint, Model, Sense, Solution, SolveOptions, VarType};
-pub use revised::{Prepared, SolverSession, SolverStats};
+pub use revised::{Prepared, SolverSession, SolverStats, WarmBasis};

@@ -35,6 +35,12 @@
 //!   sweeps) cost a handful of dual simplex steps with zero refactoring.
 //!   A call site that alternates between a few fixed shapes holds one
 //!   session per shape (the lexicographic max-flow's two stages do).
+//! * **Canonical starts.** [`SolverSession::snapshot`] copies the cached
+//!   basis and factorization out as a [`WarmBasis`];
+//!   [`SolverSession::restore`] puts it back. A solve after `restore`
+//!   runs exactly as it would have right after the snapshotted solve, so
+//!   its bits depend on the snapshot and the model alone, not on what
+//!   the session solved in between.
 //! * **Prepared re-solves.** [`Prepared`] standardizes a model once;
 //!   [`SolverSession::solve_prepared`] then re-solves after in-place
 //!   bound/rhs edits without touching the `Model` at all. The contract:
@@ -343,6 +349,21 @@ struct Workspace {
     flips: Vec<usize>,
 }
 
+/// A cached basis copied out of a session ([`SolverSession::snapshot`])
+/// to start later solves from ([`SolverSession::restore`]): the statuses,
+/// the basis, and its factorization with its update count. The factor is
+/// copied rather than rebuilt on restore, since a copy costs less than a
+/// refactorization. It keeps the shape and matrix fingerprint of the
+/// solve it came from, so a model of another shape still starts cold and
+/// one with another matrix still refactorizes.
+#[derive(Debug, Clone)]
+pub struct WarmBasis {
+    key: WarmKey,
+    status: Vec<Status>,
+    basis: Vec<usize>,
+    lu: Factorization,
+}
+
 /// A warm-startable solver handle.
 ///
 /// The session contract: `solve` is *exact* regardless of what is cached —
@@ -446,6 +467,32 @@ impl SolverSession {
     /// True if a basis is cached.
     pub fn has_warm_basis(&self) -> bool {
         self.warm.is_some()
+    }
+
+    /// A copy of the cached basis, or `None` when no basis is cached.
+    pub fn snapshot(&self) -> Option<WarmBasis> {
+        let key = self.warm?;
+        let mut lu = Factorization::default();
+        lu.copy_from(&self.ws.lu);
+        Some(WarmBasis {
+            key,
+            status: self.ws.status.clone(),
+            basis: self.ws.basis.clone(),
+            lu,
+        })
+    }
+
+    /// Cache `basis` in place of whatever is cached: the next solve
+    /// starts from it exactly as it would have right after the solve
+    /// [`SolverSession::snapshot`] copied it from. Each solve resets
+    /// every other buffer it reads, so that solve's result is a function
+    /// of `basis` and the model alone. Copies into the session's own
+    /// buffers, so a restore allocates nothing once they are sized.
+    pub fn restore(&mut self, basis: &WarmBasis) {
+        self.ws.status.clone_from(&basis.status);
+        self.ws.basis.clone_from(&basis.basis);
+        self.ws.lu.copy_from(&basis.lu);
+        self.warm = Some(basis.key);
     }
 }
 
@@ -1743,6 +1790,74 @@ mod tests {
         assert_eq!(s_prep.stats, s_model.stats);
         assert_eq!(s_prep.stats.cold_starts, 1);
         assert_eq!(s_prep.stats.warm_hits, 3);
+    }
+
+    /// Two demands over three paths sharing two links: the max-flow
+    /// optimum is not unique, so the vertex a solve lands on depends on
+    /// where it starts.
+    fn shared_links_model() -> Prepared {
+        let mut m = Model::new(Sense::Maximize);
+        let f = [m.add_nonneg("a0"), m.add_nonneg("a1"), m.add_nonneg("b0")];
+        m.add_constr("dem_a", f[0] + f[1], Cmp::Le, 0.0);
+        m.add_constr("dem_b", f[2] + 0.0, Cmp::Le, 0.0);
+        m.add_constr("link0", f[0] + f[2], Cmp::Le, 60.0);
+        m.add_constr("link1", f[1] + f[2], Cmp::Le, 80.0);
+        m.set_objective(f[0] + f[1] + f[2]);
+        Prepared::new(&m).unwrap()
+    }
+
+    #[test]
+    fn restored_basis_solves_the_same_bits_whatever_came_before() {
+        let mut prep = shared_links_model();
+        let mut solve_at = |session: &mut SolverSession, a: f64, b: f64| {
+            prep.set_rhs(0, a);
+            prep.set_rhs(1, b);
+            session.solve_prepared(&prep).unwrap()
+        };
+        let mut anchor_session = SolverSession::new();
+        solve_at(&mut anchor_session, 50.0, 50.0);
+        let anchor = anchor_session.snapshot().unwrap();
+
+        let bits = |s: &Solution| {
+            let mut v: Vec<u64> = s.values.iter().map(|x| x.to_bits()).collect();
+            v.push(s.objective.to_bits());
+            v
+        };
+        let targets = [(90.0, 10.0), (20.0, 70.0), (100.0, 100.0), (0.0, 40.0)];
+        let mut fresh = SolverSession::new();
+        let expected: Vec<Vec<u64>> = targets
+            .iter()
+            .map(|&(a, b)| {
+                fresh.restore(&anchor);
+                bits(&solve_at(&mut fresh, a, b))
+            })
+            .collect();
+
+        let mut other_shape = Model::new(Sense::Maximize);
+        let x = other_shape.add_var("x", VarType::Continuous, 0.0, 1.0);
+        other_shape.set_objective(x + 0.0);
+        let mut session = SolverSession::new();
+        for (round, &(a, b)) in targets.iter().cycle().take(12).enumerate() {
+            // A different history before every restore: earlier points,
+            // another shape, a reset, or nothing at all.
+            match round % 4 {
+                0 => {
+                    solve_at(&mut session, b, a);
+                    solve_at(&mut session, 100.0 - a, 5.0);
+                }
+                1 => {
+                    session.solve(&other_shape).unwrap();
+                }
+                2 => session.reset(),
+                _ => {}
+            }
+            session.restore(&anchor);
+            let before = session.stats;
+            let got = bits(&solve_at(&mut session, a, b));
+            let work = session.stats.diff(&before);
+            assert_eq!(got, expected[round % targets.len()], "round {round}");
+            assert_eq!((work.warm_hits, work.cold_starts), (1, 0), "round {round}");
+        }
     }
 
     #[test]

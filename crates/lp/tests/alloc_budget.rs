@@ -99,7 +99,7 @@ fn resolves_allocate_only_the_returned_values() {
     assert_eq!(session.stats.warm_hits, 1, "{:?}", session.stats);
     assert_eq!(n, 1, "a warm re-solve allocates only the returned values");
 
-    // A cold re-solve after `reset()` (the explainer mapper's pattern).
+    // A cold re-solve after `reset()` (a fresh solver's first solve).
     session.reset();
     let (cold, n) = allocations(|| session.solve_prepared(&prep));
     let cold = cold.unwrap();
@@ -109,4 +109,18 @@ fn resolves_allocate_only_the_returned_values() {
         "a cold re-solve after reset allocates only the values"
     );
     assert!((warm.objective - cold.objective).abs() < 1e-9);
+
+    // A re-solve from a restored snapshot (every DP evaluation's pattern:
+    // each solve starts from the anchor basis): the restore copies into
+    // the session's buffers, so it allocates nothing of its own.
+    let anchor = session.snapshot().unwrap();
+    prep.set_rhs(1, 30.0);
+    session.solve_prepared(&prep).unwrap();
+    let (restored, n) = allocations(|| {
+        session.restore(&anchor);
+        session.solve_prepared(&prep)
+    });
+    restored.unwrap();
+    assert_eq!(session.stats.warm_hits, 3, "{:?}", session.stats);
+    assert_eq!(n, 1, "a restore and re-solve allocates only the values");
 }

@@ -109,7 +109,8 @@
 //! the heuristic changed behavior or the oracle regressed. Entries no
 //! current code can interpret (unknown schema version, unregistered
 //! domain) are *skipped*, not failed; dropping them is `runner gc`'s
-//! job.
+//! job. A store without a `bank/` directory is a usage error (exit 2,
+//! nothing created); an existing empty bank passes as 0 of 0.
 //!
 //! `runner gc --store DIR` deletes orphaned checkpoints (a `{key}.ckpt`
 //! whose `{key}.json` result exists — what a killed `--resume` run
@@ -745,7 +746,8 @@ fn tune_main(argv: &[String]) -> i32 {
 }
 
 /// `runner bank replay` — the regression gate: recompute every banked
-/// instance's gap with the current oracle; exit 1 on any regression.
+/// instance's gap with the current oracle; exit 1 on any regression,
+/// 2 on a usage error or a store with no bank.
 fn bank_main(argv: &[String]) -> i32 {
     let Some(("replay", rest)) = argv
         .split_first()
@@ -779,8 +781,17 @@ fn bank_main(argv: &[String]) -> i32 {
         eprintln!("runner bank replay: --store DIR required\n{USAGE}");
         return 2;
     };
-    let registry = DomainRegistry::builtin();
     let bank = ResultStore::new(&dir).bank();
+    // Replaying a bank that is not there would pass vacuously, and the
+    // replay's marker write would create the directories.
+    if !bank.dir().is_dir() {
+        eprintln!(
+            "runner bank replay: no regression bank at {}",
+            bank.dir().display()
+        );
+        return 2;
+    }
+    let registry = DomainRegistry::builtin();
     let report = replay_bank(&registry, &bank);
 
     if json {
@@ -1325,6 +1336,25 @@ mod tests {
         assert_eq!(gc_main(&argv(&["--store"])), 2);
         assert!(parse_args(&argv(&["--manifest", "--watch"])).is_err());
         assert!(parse_args(&argv(&["--store", "--json", "--smoke"])).is_err());
+    }
+
+    /// `bank replay` on a store or bank that does not exist is a usage
+    /// error that leaves the file system as it was, not a vacuous pass;
+    /// an existing empty bank replays as 0 of 0 passed.
+    #[test]
+    fn bank_replay_refuses_a_missing_store_and_creates_nothing() {
+        let root = std::env::temp_dir().join(format!("runner-bank-missing-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let store = root.join("store");
+        let replay = argv(&["replay", "--store", store.to_str().unwrap(), "--json"]);
+        assert_eq!(bank_main(&replay), 2);
+        assert!(!root.exists(), "a missing store was created");
+        std::fs::create_dir_all(&store).unwrap();
+        assert_eq!(bank_main(&replay), 2);
+        assert!(!store.join("bank").exists(), "a missing bank was created");
+        std::fs::create_dir_all(store.join("bank")).unwrap();
+        assert_eq!(bank_main(&replay), 0);
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

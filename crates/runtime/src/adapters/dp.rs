@@ -20,23 +20,20 @@ use xplain_flownet::FlowNet;
 
 /// DSL mapper for Demand Pinning on a TE problem (Fig. 4a).
 ///
-/// Deliberately *cold per evaluation*, unlike [`DpOracle`]: the explainer
-/// fans `heuristic_flows`/`benchmark_flows` across sample threads, and a
-/// shared warm basis would make the returned *vertex* (the flow split
-/// among equally-optimal allocations) depend on thread scheduling and
-/// call order — breaking the runtime's byte-for-byte determinism
-/// guarantee. Cold solves are vertex-deterministic per input and
-/// embarrassingly parallel. What the mapper does *not* pay is the
-/// per-call model build or any per-call allocation of solver state: it
-/// checks a prepared [`TeLexSolver`] (both lexicographic stage LPs
-/// standardized once) out of a [`TeLexSolverStack`], *resets* it — which
-/// drops the cached bases but keeps the solver workspaces — and solves.
-/// Each evaluation is cold because the checked-out solver is reset, so
-/// its output does not depend on which solver it drew or what that
-/// solver solved before. The cold solves are byte-identical to building
-/// the stage models afresh and to the one-shot `DemandPinning::solve` /
-/// `TeProblem::optimal` (pinned by `te_lex_solver_matches_model_path`,
-/// the history-independence tests below and the replay suite).
+/// The explainer fans `heuristic_flows`/`benchmark_flows` across sample
+/// threads, and max-flow optima are not unique: a solve that started
+/// from whatever basis its solver last held would return a *vertex* (the
+/// flow split among equally-optimal allocations) that depends on thread
+/// scheduling and call order, breaking the runtime's byte-for-byte
+/// determinism guarantee. So the mapper checks a prepared
+/// [`TeLexSolver`] (both lexicographic stage LPs standardized once) out of
+/// a [`TeLexSolverStack`], and every solve starts from that solver's
+/// anchor basis, the one [`TeProblem::lex_solver`] kept at the box
+/// centre. The output is a function of the input alone, whichever solver
+/// an evaluation drew, and every solve is warm. It is byte-identical to
+/// the one-shot `DemandPinning::solve` / `TeProblem::optimal`, which
+/// start from the same anchor (pinned by the history-independence tests
+/// below and the replay suite).
 pub struct DpDslMapper {
     pub problem: TeProblem,
     pub heuristic: DemandPinning,
@@ -57,18 +54,12 @@ impl DpDslMapper {
         }
     }
 
-    /// Run `f` on a checked-out solver reset to cold.
-    fn with_cold_solver(
+    /// Run `f` on a checked-out solver.
+    fn with_solver(
         &self,
         f: impl FnOnce(&mut TeLexSolver) -> Option<TeAllocation>,
     ) -> Option<TeAllocation> {
-        self.solvers
-            .with(&self.problem, |solver| {
-                solver.reset();
-                f(solver)
-            })
-            .ok()
-            .flatten()
+        self.solvers.with(&self.problem, f).ok().flatten()
     }
 }
 
@@ -78,13 +69,13 @@ impl DslMapper for DpDslMapper {
     }
 
     fn heuristic_flows(&self, x: &[f64]) -> Option<Vec<f64>> {
-        let alloc = self
-            .with_cold_solver(|solver| self.heuristic.solve_with(&self.problem, x, solver).ok())?;
+        let alloc =
+            self.with_solver(|solver| self.heuristic.solve_with(&self.problem, x, solver).ok())?;
         Some(self.dsl.assignment(x, &alloc))
     }
 
     fn benchmark_flows(&self, x: &[f64]) -> Option<Vec<f64>> {
-        let alloc = self.with_cold_solver(|solver| solver.optimal(x).ok())?;
+        let alloc = self.with_solver(|solver| solver.optimal(x).ok())?;
         Some(self.dsl.assignment(x, &alloc))
     }
 }
