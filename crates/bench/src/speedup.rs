@@ -199,18 +199,4 @@ mod tests {
             r.ff_eliminated.stats.vars
         );
     }
-
-    #[test]
-    fn dp_speedup_exceeds_ff_speedup() {
-        // Timing in debug builds is noisy; run enough trials that the
-        // structural advantage dominates, and only check the ordering.
-        let r = run(10);
-        assert!(
-            r.dp_speedup() > r.ff_speedup() * 0.8,
-            "dp {:.2} vs ff {:.2}",
-            r.dp_speedup(),
-            r.ff_speedup()
-        );
-        assert!(r.dp_speedup() > 1.0, "dp speedup {:.2}", r.dp_speedup());
-    }
 }

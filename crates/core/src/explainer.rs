@@ -12,13 +12,15 @@
 //! over `std::thread::scope` workers — evaluating a sample means running
 //! both the heuristic and an exact benchmark, which is pure CPU work. The
 //! stream count comes from [`ExplainerParams`], never from the host, so a
-//! heat-map is a function of its inputs alone.
+//! heat-map is a function of its inputs alone. The workers' solver work
+//! counts on the calling thread ([`xplain_lp::counters::on_threads`]).
 
 use crate::subspace::Subspace;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use xplain_flownet::FlowNet;
+use xplain_lp::counters;
 
 /// Domain adapter: maps a concrete input to heuristic/benchmark edge
 /// flows over a shared DSL graph.
@@ -219,25 +221,19 @@ fn explain_on(
         acc
     };
 
-    // Each OS thread takes a contiguous run of streams; joining in order
-    // keeps the accumulators in stream order.
+    // Each OS thread takes a contiguous run of streams; threads return
+    // in order, so the accumulators stay in stream order.
     let chunk = streams.div_ceil(os_threads.max(1));
     let accs: Vec<Acc> = if chunk >= streams {
         (0..streams).map(accumulate).collect()
     } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..streams)
-                .step_by(chunk)
-                .map(|first| {
-                    let last = (first + chunk).min(streams);
-                    scope.spawn(move || (first..last).map(accumulate).collect::<Vec<_>>())
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("explainer worker panicked"))
-                .collect()
+        counters::on_threads(streams.div_ceil(chunk), |t| {
+            let mine = t * chunk..((t + 1) * chunk).min(streams);
+            mine.map(accumulate).collect::<Vec<_>>()
         })
+        .into_iter()
+        .flatten()
+        .collect()
     };
 
     let mut score_sum = vec![0.0; n_edges];
@@ -449,6 +445,52 @@ mod tests {
             bits(&explain_on(&mapper, &sub, &auto, 7, 1)),
             bits(&explain_on(&mapper, &sub, &two, 7, 2))
         );
+    }
+
+    /// [`TestMapper`] whose benchmark flows come out of an LP.
+    struct LpMapper(TestMapper);
+
+    impl DslMapper for LpMapper {
+        fn net(&self) -> &FlowNet {
+            self.0.net()
+        }
+        fn heuristic_flows(&self, x: &[f64]) -> Option<Vec<f64>> {
+            self.0.heuristic_flows(x)
+        }
+        fn benchmark_flows(&self, x: &[f64]) -> Option<Vec<f64>> {
+            use xplain_lp::{Cmp, Model, Sense};
+            let mut m = Model::new(Sense::Maximize);
+            let f = m.add_nonneg("f");
+            m.add_constr("input", f * 1.0, Cmp::Le, x[0]);
+            m.set_objective(f * 1.0);
+            let flow = m.solve().ok()?.objective;
+            self.0.benchmark_flows(&[flow])
+        }
+    }
+
+    /// The sample threads' solves count on the thread that called the
+    /// explainer, the same on 1 OS thread as on 3.
+    #[test]
+    fn sample_threads_hand_solver_work_to_the_caller() {
+        use xplain_lp::SolverCounters;
+        let mapper = LpMapper(TestMapper::new());
+        let sub = Subspace::from_rough_box(vec![0.3], vec![0.9], vec![0.6], 1.0);
+        let params = ExplainerParams {
+            samples: 60,
+            threads: 3,
+            ..Default::default()
+        };
+        let totals: Vec<SolverCounters> = [1, 3]
+            .into_iter()
+            .map(|os_threads| {
+                let before = SolverCounters::snapshot();
+                let ex = explain_on(&mapper, &sub, &params, 7, os_threads);
+                assert_eq!(ex.samples_used, 60);
+                SolverCounters::snapshot().since(&before)
+            })
+            .collect();
+        assert_eq!(totals[0].lp_solves, 60, "{:?}", totals[0]);
+        assert_eq!(totals[0], totals[1]);
     }
 
     #[test]

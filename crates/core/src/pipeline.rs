@@ -112,12 +112,12 @@ pub struct PipelineResult {
     /// rejects integers beyond 2^53, and stored results must stay
     /// serializable; 2^64 ms is ~585 million years of pipeline anyway.
     pub wall_time_ms: u64,
-    /// LP/MILP work observed during this run (iterations, warm-start
-    /// hits, branch-and-bound nodes). Measured as a delta of the
-    /// process-wide `xplain_lp::counters`, so with concurrent pipelines
-    /// in one process it is a superset; the batch executor normalizes
-    /// the stored copy to zero (like `wall_time_ms`) and reports the
-    /// measured delta on the job outcome instead.
+    /// LP/MILP work this run did (iterations, warm-start hits,
+    /// branch-and-bound nodes): the per-thread `xplain_lp::counters`
+    /// delta of each stage, helper threads included, so it is the run's
+    /// own work whatever else solves in the process. Execution metadata
+    /// like `wall_time_ms`: the batch executor normalizes the stored
+    /// copy to zero and reports the count on the job outcome instead.
     pub solver: SolverCounters,
 }
 

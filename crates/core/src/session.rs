@@ -125,17 +125,11 @@ pub struct SessionBudgets {
     /// Cap on analyzer invocations (finder calls).
     #[serde(default)]
     pub max_analyzer_calls: Option<usize>,
-    /// Cap on LP simplex iterations (primal + dual) attributed to the
-    /// session.
-    ///
-    /// Attribution rides the process-global `xplain_lp` counters: exact
-    /// when nothing else solves concurrently, a *superset* otherwise —
-    /// so under a multi-worker executor, concurrent jobs' iterations
-    /// count against this cap too and it fires earlier (and at a
-    /// run-dependent event) compared to a serial run. The final result
-    /// is unaffected — budget-limited partials never enter the result
-    /// cache, and resuming to natural completion converges on the same
-    /// bytes — but for a precisely-attributed cap, run with 1 worker.
+    /// Cap on LP simplex iterations (primal + dual) the session's own
+    /// stages made, on its thread and the helper threads they joined
+    /// (`xplain_lp::counters`). What other jobs solve meanwhile does not
+    /// count, so the cap fires at the same event however many workers
+    /// run beside it.
     #[serde(default)]
     pub max_solver_iterations: Option<u64>,
 }
@@ -922,8 +916,8 @@ impl<'a> AnalysisSession<'a> {
 
     /// Run a stage under wall-clock + solver-counter accounting, so the
     /// accumulated totals match what a single delta around an
-    /// uninterrupted run would report (assuming no concurrent solves —
-    /// the same process-global caveat `SolverCounters` documents).
+    /// uninterrupted run would report. The counters are this thread's,
+    /// so the delta is the stage's own work.
     fn timed<T>(&mut self, f: impl FnOnce(&mut Self) -> T) -> T {
         let t0 = std::time::Instant::now();
         let before = SolverCounters::snapshot();

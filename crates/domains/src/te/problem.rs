@@ -5,9 +5,7 @@ use crate::te::paths::{k_shortest_paths, Path};
 use crate::te::topology::Topology;
 use serde::{Deserialize, Serialize};
 use std::sync::{Mutex, MutexGuard};
-use xplain_lp::{
-    Cmp, LinExpr, LpError, Model, Prepared, Sense, SolverSession, SolverStats, VarType, WarmBasis,
-};
+use xplain_lp::{Cmp, LinExpr, LpError, Model, Prepared, Sense, SolverSession, VarType, WarmBasis};
 
 /// A demand endpoint pair (amounts are supplied separately — they are the
 /// *input space* the analyzer searches).
@@ -221,27 +219,31 @@ impl TeProblem {
     /// The anchor is a function of the problem alone. A stage whose
     /// anchor solve fails has no anchor, and its restores start cold.
     pub fn lex_solver(&self) -> Result<TeLexSolver, LpError> {
+        let mut solver = self.lex_solver_at([None, None])?;
+        let centre = vec![self.demand_cap / 2.0; self.num_demands()];
+        if solver.solve_max_flow_lex(&centre, None, &[]).is_ok() {
+            solver.anchors = [solver.session1.snapshot(), solver.session2.snapshot()];
+        }
+        solver.session1.reset();
+        solver.session2.reset();
+        Ok(solver)
+    }
+
+    /// A [`TeLexSolver`] that starts from the given stage anchors, built
+    /// without a solve.
+    fn lex_solver_at(&self, anchors: [Option<WarmBasis>; 2]) -> Result<TeLexSolver, LpError> {
         let model = self.max_flow_model(&vec![0.0; self.num_demands()], None, &[]);
         let stage1 = Prepared::new(&model)?;
         let stage2 = Prepared::new(&self.lex_stage2_model(model, 0.0))?;
-        let mut solver = TeLexSolver {
+        Ok(TeLexSolver {
             stage1,
             stage2,
             path_counts: self.paths.iter().map(|ps| ps.len()).collect(),
             link_caps: self.topology.links.iter().map(|l| l.capacity).collect(),
             session1: SolverSession::new(),
             session2: SolverSession::new(),
-            anchor1: None,
-            anchor2: None,
-        };
-        let centre = vec![self.demand_cap / 2.0; self.num_demands()];
-        if solver.solve_max_flow_lex(&centre, None, &[]).is_ok() {
-            solver.anchor1 = solver.session1.snapshot();
-            solver.anchor2 = solver.session2.snapshot();
-        }
-        solver.session1.reset();
-        solver.session2.reset();
-        Ok(solver)
+            anchors,
+        })
     }
 
     /// Total link load of an allocation, per link.
@@ -322,8 +324,7 @@ pub struct TeLexSolver {
     session1: SolverSession,
     session2: SolverSession,
     /// Each stage's final basis at the anchor point.
-    anchor1: Option<WarmBasis>,
-    anchor2: Option<WarmBasis>,
+    anchors: [Option<WarmBasis>; 2],
 }
 
 /// Start `session`'s next solve from `anchor`, or cold without one.
@@ -416,8 +417,8 @@ impl TeLexSolver {
     /// Start the next solve of each stage from its anchor basis (see
     /// [`TeProblem::lex_solver`]) instead of the last solve's basis.
     pub fn restore_anchor(&mut self) {
-        restore_or_reset(&mut self.session1, self.anchor1.as_ref());
-        restore_or_reset(&mut self.session2, self.anchor2.as_ref());
+        restore_or_reset(&mut self.session1, self.anchors[0].as_ref());
+        restore_or_reset(&mut self.session2, self.anchors[1].as_ref());
     }
 
     /// The maximum total flow alone — stage 1's objective, skipping the
@@ -441,13 +442,6 @@ impl TeLexSolver {
         }
         Ok(self.session1.solve_prepared(&self.stage1)?.objective)
     }
-
-    /// Solver statistics of both stage sessions, summed.
-    pub fn stats(&self) -> SolverStats {
-        let mut total = self.session1.stats;
-        total.absorb(&self.session2.stats);
-        total
-    }
 }
 
 /// A thread-safe checkout stack of [`TeLexSolver`]s for one problem.
@@ -457,18 +451,24 @@ impl TeLexSolver {
 /// lock is held only to pop and push, and the stack grows to the peak
 /// number of concurrent callers. Those callers start every solve from
 /// the anchor ([`TeLexSolver::restore_anchor`]), so which solver a
-/// thread draws does not change what it computes. A poisoned stack (a
-/// panicked sibling thread) still holds valid solvers, so it is used as
-/// is.
+/// thread draws does not change what it computes. The stack solves the
+/// anchor once, for its first solver; a solver it grows by starts from
+/// copies of those anchors and solves nothing, so a caller's solver work
+/// does not depend on how many of its threads overlapped. A poisoned
+/// stack (a panicked sibling thread) still holds valid solvers, so it
+/// is used as is.
 pub struct TeLexSolverStack {
     solvers: Mutex<Vec<TeLexSolver>>,
+    anchors: [Option<WarmBasis>; 2],
 }
 
 impl TeLexSolverStack {
     /// A stack holding one solver for `problem`.
     pub fn new(problem: &TeProblem) -> Result<Self, LpError> {
+        let solver = problem.lex_solver()?;
         Ok(TeLexSolverStack {
-            solvers: Mutex::new(vec![problem.lex_solver()?]),
+            anchors: solver.anchors.clone(),
+            solvers: Mutex::new(vec![solver]),
         })
     }
 
@@ -489,7 +489,7 @@ impl TeLexSolverStack {
         let checked_out = self.lock().pop();
         let mut solver = match checked_out {
             Some(solver) => solver,
-            None => problem.lex_solver()?,
+            None => problem.lex_solver_at(self.anchors.clone())?,
         };
         let out = f(&mut solver);
         self.lock().push(solver);
@@ -500,6 +500,7 @@ impl TeLexSolverStack {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xplain_lp::SolverCounters;
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-6, "{a} != {b}");
@@ -555,9 +556,11 @@ mod tests {
     fn anchored_solves_are_warm_and_never_refactorize() {
         use rand::{Rng, SeedableRng};
         let p = TeProblem::fig1a();
+        let before = SolverCounters::snapshot();
         let mut solver = p.lex_solver().unwrap();
-        let built = solver.stats();
-        assert_eq!((built.solves, built.cold_starts), (2, 2));
+        let built = SolverCounters::snapshot();
+        let anchor = built.since(&before);
+        assert_eq!((anchor.lp_solves, anchor.lp_cold_starts), (2, 2));
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         for _ in 0..200 {
             let x: Vec<f64> = (0..3).map(|_| rng.gen_range(0.0..=100.0)).collect();
@@ -566,11 +569,39 @@ mod tests {
             solver.restore_anchor();
             solver.total_flow(&x, None, &[]).unwrap();
         }
-        let work = solver.stats().diff(&built);
-        assert_eq!(work.solves, 600);
-        assert_eq!(work.warm_hits, 600);
-        assert_eq!(work.cold_starts, 0);
-        assert_eq!(work.refactorizations, 0);
+        let work = SolverCounters::snapshot().since(&built);
+        assert_eq!(work.lp_solves, 600);
+        assert_eq!(work.lp_warm_hits, 600);
+        assert_eq!(work.lp_cold_starts, 0);
+        assert_eq!(work.lp_refactorizations, 0);
+    }
+
+    /// A stack grows by a solver without solving the anchor again, and
+    /// the new solver answers with the same bits and the same work as
+    /// the one in flight.
+    #[test]
+    fn a_growing_stack_solves_no_anchor() {
+        let p = TeProblem::fig1a();
+        let stack = TeLexSolverStack::new(&p).unwrap();
+        let x = [30.0, 80.0, 95.0];
+        let before = SolverCounters::snapshot();
+        let (first, grown) = stack
+            .with(&p, |first| {
+                let a = first.optimal(&x).unwrap();
+                let work = SolverCounters::snapshot().since(&before);
+                let b = stack.with(&p, |grown| grown.optimal(&x).unwrap());
+                let grown_work = SolverCounters::snapshot().since(&before).since(&work);
+                assert_eq!(grown_work, work);
+                (a, b.unwrap())
+            })
+            .unwrap();
+        let work = SolverCounters::snapshot().since(&before);
+        assert_eq!((work.lp_solves, work.lp_warm_hits), (4, 4), "{work:?}");
+        assert_eq!(grown.total.to_bits(), first.total.to_bits());
+        let bits = |a: &TeAllocation| -> Vec<u64> {
+            a.flows.iter().flatten().map(|f| f.to_bits()).collect()
+        };
+        assert_eq!(bits(&grown), bits(&first));
     }
 
     #[test]

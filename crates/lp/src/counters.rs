@@ -1,75 +1,82 @@
-//! Process-wide solver counters.
+//! Per-thread solver counters.
 //!
-//! Every solve — cold or warm, LP or branch-and-bound — bumps these
-//! atomics, so layers that cannot thread a [`crate::revised::SolverSession`]
-//! through (the XPlain pipeline calls the solver from deep inside domain
-//! oracles) can still report solver work: snapshot before, snapshot after,
-//! diff.
+//! Every solve — cold or warm, LP or branch-and-bound — adds its
+//! statistics to the running total of the thread that solved, so layers
+//! that cannot thread a [`crate::revised::SolverSession`] through (the
+//! XPlain pipeline calls the solver from deep inside domain oracles) can
+//! still report solver work: snapshot before, snapshot after, diff. A
+//! delta taken around a region of code counts exactly the solves that
+//! region made, whatever other threads solve meanwhile.
 //!
-//! **Attribution caveat:** the counters are process-global. A delta taken
-//! around a region of code is exact when nothing else solves concurrently
-//! and a superset otherwise — the runtime's batch executor therefore
-//! normalizes the counters embedded in stored results and keeps measured
-//! deltas on the per-job outcome, exactly like `wall_time_ms`.
+//! Work a region hands to helper threads belongs to the thread that
+//! spawned them: [`on_threads`] runs tasks on scoped threads and adds
+//! their counts to the calling thread's total. Every place that solves
+//! on helper threads goes through it.
 //!
-//! **Consistency:** updates and snapshots go through a seqlock, so a
-//! [`SolverCounters::snapshot`] is always a consistent cut of *complete*
-//! `record` calls — a reader can never observe half of a solve's update
-//! (e.g. `lp_solves` bumped but `lp_warm_hits` not yet). Cross-field
-//! invariants such as `lp_solves == lp_warm_hits + lp_cold_starts`
-//! therefore hold in every snapshot and every delta between snapshots,
-//! even while other threads solve concurrently. (Earlier versions read
-//! each field independently; a racing delta could tear and silently
-//! under-report via `saturating_sub`.)
+//! Recording is a thread-local add: no lock and no shared atomic per
+//! solve.
 
 use crate::revised::SolverStats;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{fence, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
 
-static LP_SOLVES: AtomicU64 = AtomicU64::new(0);
-static LP_ITERATIONS: AtomicU64 = AtomicU64::new(0);
-static LP_DUAL_ITERATIONS: AtomicU64 = AtomicU64::new(0);
-static LP_REFACTORIZATIONS: AtomicU64 = AtomicU64::new(0);
-static LP_WARM_HITS: AtomicU64 = AtomicU64::new(0);
-static LP_COLD_STARTS: AtomicU64 = AtomicU64::new(0);
-static BB_NODES: AtomicU64 = AtomicU64::new(0);
-
-/// Seqlock version: odd while a writer is mid-update, even otherwise.
-static VERSION: AtomicU64 = AtomicU64::new(0);
-/// Serializes writers (readers never take it).
-static WRITER: Mutex<()> = Mutex::new(());
-
-/// Run `f` as one atomic counter update: bump the version to odd (Acquire
-/// keeps the field writes after it), apply, bump back to even (Release
-/// keeps them before it).
-fn write_locked(f: impl FnOnce()) {
-    let _guard = WRITER.lock().unwrap_or_else(|e| e.into_inner());
-    VERSION.fetch_add(1, Ordering::Acquire);
-    f();
-    VERSION.fetch_add(1, Ordering::Release);
+thread_local! {
+    /// The calling thread's solver work since it started.
+    static TOTAL: Cell<SolverCounters> = Cell::new(SolverCounters::default());
 }
 
-/// Fold one solve's statistics into the global counters.
+fn add(work: &SolverCounters) {
+    TOTAL.with(|total| total.set(total.get().plus(work)));
+}
+
+/// Fold one solve's statistics into the calling thread's total.
 pub(crate) fn record(stats: &SolverStats) {
-    write_locked(|| {
-        LP_SOLVES.fetch_add(stats.solves, Ordering::Relaxed);
-        LP_ITERATIONS.fetch_add(stats.iterations, Ordering::Relaxed);
-        LP_DUAL_ITERATIONS.fetch_add(stats.dual_iterations, Ordering::Relaxed);
-        LP_REFACTORIZATIONS.fetch_add(stats.refactorizations, Ordering::Relaxed);
-        LP_WARM_HITS.fetch_add(stats.warm_hits, Ordering::Relaxed);
-        LP_COLD_STARTS.fetch_add(stats.cold_starts, Ordering::Relaxed);
+    add(&SolverCounters {
+        lp_solves: stats.solves,
+        lp_iterations: stats.iterations,
+        lp_dual_iterations: stats.dual_iterations,
+        lp_refactorizations: stats.refactorizations,
+        lp_warm_hits: stats.warm_hits,
+        lp_cold_starts: stats.cold_starts,
+        bb_nodes: 0,
     });
 }
 
 /// One branch-and-bound node explored.
 pub(crate) fn record_bb_node() {
-    write_locked(|| {
-        BB_NODES.fetch_add(1, Ordering::Relaxed);
+    add(&SolverCounters {
+        bb_nodes: 1,
+        ..SolverCounters::default()
     });
 }
 
-/// A snapshot of (or delta between) the process-wide solver counters.
+/// Run `task(0)`, …, `task(threads - 1)` each on its own scoped thread
+/// and return their values in order. The threads' solver work is added
+/// to the calling thread's total, as if it had run every task itself; a
+/// panicking task panics the caller with its payload.
+pub fn on_threads<T, F>(threads: usize, task: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let task = &task;
+    std::thread::scope(|scope| {
+        // A new thread's total starts at zero, so it ends as its task's work.
+        let handles: Vec<_> = (0..threads)
+            .map(|i| scope.spawn(move || (task(i), SolverCounters::snapshot())))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                let (value, work) = h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+                add(&work);
+                value
+            })
+            .collect()
+    })
+}
+
+/// A snapshot of (or delta between) the calling thread's solver totals.
 ///
 /// Serializable so it can ride inside `PipelineResult`; all fields are far
 /// below the JSON-safe 2^53 window for any realistic run.
@@ -92,35 +99,15 @@ pub struct SolverCounters {
 }
 
 impl SolverCounters {
-    /// Read the current process-wide totals as one consistent cut: the
-    /// seqlock retry loop guarantees no `record` call overlapped the field
-    /// reads, so every snapshot reflects a whole number of solves.
+    /// The calling thread's totals: its own solves plus those of the
+    /// [`on_threads`] tasks it ran.
     pub fn snapshot() -> Self {
-        loop {
-            let v1 = VERSION.load(Ordering::Acquire);
-            if v1 & 1 == 0 {
-                let snap = SolverCounters {
-                    lp_solves: LP_SOLVES.load(Ordering::Relaxed),
-                    lp_iterations: LP_ITERATIONS.load(Ordering::Relaxed),
-                    lp_dual_iterations: LP_DUAL_ITERATIONS.load(Ordering::Relaxed),
-                    lp_refactorizations: LP_REFACTORIZATIONS.load(Ordering::Relaxed),
-                    lp_warm_hits: LP_WARM_HITS.load(Ordering::Relaxed),
-                    lp_cold_starts: LP_COLD_STARTS.load(Ordering::Relaxed),
-                    bb_nodes: BB_NODES.load(Ordering::Relaxed),
-                };
-                // Keep the field loads before the version re-check.
-                fence(Ordering::Acquire);
-                if VERSION.load(Ordering::Relaxed) == v1 {
-                    return snap;
-                }
-            }
-            std::hint::spin_loop();
-        }
+        TOTAL.with(Cell::get)
     }
 
-    /// Counters accumulated since `earlier`. Both endpoints being seqlock
-    /// cuts, a well-ordered pair never underflows; `saturating_sub` only
-    /// guards callers that mix snapshots up.
+    /// Counters accumulated since `earlier`. A later snapshot of the same
+    /// thread never underflows; `saturating_sub` only guards callers that
+    /// mix snapshots up.
     pub fn since(&self, earlier: &SolverCounters) -> SolverCounters {
         SolverCounters {
             lp_solves: self.lp_solves.saturating_sub(earlier.lp_solves),
@@ -157,69 +144,81 @@ impl SolverCounters {
 mod tests {
     use super::*;
     use crate::{Cmp, Model, Sense};
+    use std::sync::atomic::{AtomicBool, Ordering};
 
-    #[test]
-    fn solves_move_the_counters() {
-        let before = SolverCounters::snapshot();
+    fn solve_tiny() {
         let mut m = Model::new(Sense::Maximize);
         let x = m.add_nonneg("x");
         let y = m.add_nonneg("y");
         m.add_constr("cap", x + y, Cmp::Le, 3.0);
         m.set_objective(x + y);
         m.solve().unwrap();
-        let delta = SolverCounters::snapshot().since(&before);
-        assert!(delta.lp_solves >= 1, "{delta:?}");
-        assert!(delta.lp_cold_starts >= 1, "{delta:?}");
     }
 
     #[test]
-    fn concurrent_deltas_never_tear() {
-        // Writers fold in bundles that each satisfy the solver invariant
-        // `solves == warm_hits + cold_starts`; every snapshot a racing
-        // reader takes — and every delta between two of its snapshots —
-        // must satisfy it too. (Other tests solving LPs in this process
-        // only add more invariant-preserving records.) Before the seqlock,
-        // readers could observe half a record and `since` would silently
-        // saturate the torn fields to zero.
-        use std::thread;
-        let bundle = SolverStats {
-            solves: 3,
-            iterations: 17,
-            dual_iterations: 5,
-            refactorizations: 2,
-            warm_hits: 2,
-            cold_starts: 1,
-        };
-        thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for _ in 0..2_000 {
-                        record(&bundle);
-                    }
-                });
+    fn solves_move_the_counters() {
+        let before = SolverCounters::snapshot();
+        solve_tiny();
+        let delta = SolverCounters::snapshot().since(&before);
+        assert_eq!(delta.lp_solves, 1, "{delta:?}");
+        assert_eq!(delta.lp_cold_starts, 1, "{delta:?}");
+    }
+
+    /// Another thread solving all the while leaves this thread's delta
+    /// exactly its own.
+    #[test]
+    fn other_threads_solves_do_not_count_here() {
+        let mut alone = SolverCounters::default();
+        for _ in 0..20 {
+            let before = SolverCounters::snapshot();
+            solve_tiny();
+            alone = alone.plus(&SolverCounters::snapshot().since(&before));
+        }
+        let stop = AtomicBool::new(false);
+        let beside = std::thread::scope(|s| {
+            s.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    solve_tiny();
+                }
+            });
+            let before = SolverCounters::snapshot();
+            for _ in 0..20 {
+                solve_tiny();
             }
-            for _ in 0..2 {
-                s.spawn(|| {
-                    let mut prev = SolverCounters::snapshot();
-                    for _ in 0..10_000 {
-                        let now = SolverCounters::snapshot();
-                        assert_eq!(
-                            now.lp_solves,
-                            now.lp_warm_hits + now.lp_cold_starts,
-                            "torn snapshot: {now:?}"
-                        );
-                        let d = now.since(&prev);
-                        assert_eq!(
-                            d.lp_solves,
-                            d.lp_warm_hits + d.lp_cold_starts,
-                            "torn delta: {d:?}"
-                        );
-                        assert!(now.lp_solves >= prev.lp_solves, "non-monotone");
-                        prev = now;
-                    }
-                });
-            }
+            let delta = SolverCounters::snapshot().since(&before);
+            stop.store(true, Ordering::Relaxed);
+            delta
         });
+        assert_eq!(alone.lp_solves, 20);
+        assert_eq!(beside, alone);
+    }
+
+    /// Work split over 1 or 3 threads lands on the caller as the same
+    /// total as doing it inline.
+    #[test]
+    fn thread_work_lands_on_the_caller() {
+        let inline = {
+            let before = SolverCounters::snapshot();
+            for _ in 0..6 {
+                solve_tiny();
+            }
+            SolverCounters::snapshot().since(&before)
+        };
+        for threads in [1, 3] {
+            let before = SolverCounters::snapshot();
+            let values = on_threads(threads, |i| {
+                for _ in 0..6 / threads {
+                    solve_tiny();
+                }
+                i
+            });
+            assert_eq!(values, (0..threads).collect::<Vec<_>>());
+            assert_eq!(
+                SolverCounters::snapshot().since(&before),
+                inline,
+                "{threads} threads"
+            );
+        }
     }
 
     #[test]

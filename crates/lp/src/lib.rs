@@ -17,9 +17,9 @@
 //! * **Robustness.** All public entry points validate the model, reject
 //!   NaN/infinite coefficients, and surface infeasibility/unboundedness and
 //!   iteration caps as typed errors — never panics.
-//! * **Observability.** Every solve feeds process-wide [`counters`]
+//! * **Observability.** Every solve feeds its thread's [`counters`]
 //!   (iterations, refactorizations, warm-start hits, branch-and-bound
-//!   nodes) so upper layers can report solver work without plumbing.
+//!   nodes) so upper layers can report their own solver work unplumbed.
 //!
 //! ## Quick start
 //!

@@ -47,7 +47,8 @@
 //!   --smoke           run the built-in one-job-per-domain manifest three
 //!                     ways (1 worker, N workers, N workers against the
 //!                     warm store) and fail unless all three agree
-//!                     byte-for-byte and the third is pure cache hits.
+//!                     byte-for-byte (the first two in solver counts
+//!                     too) and the third is pure cache hits.
 //!                     With --watch, additionally exercises the event
 //!                     stream headlessly: every event must serialize to
 //!                     NDJSON, parse back, terminal lines must carry the
@@ -1054,7 +1055,8 @@ fn default_manifest(registry: &DomainRegistry) -> Vec<JobSpec> {
 /// run three ways.
 ///
 /// 1. serial (1 worker, no store) — the reference;
-/// 2. parallel (N workers, cold store) — must match 1 byte-for-byte;
+/// 2. parallel (N workers, cold store) — must match 1 byte-for-byte and
+///    in each job's solver counts;
 /// 3. parallel again (warm store) — must be all cache hits and match 2.
 ///
 /// With `--watch`, a fourth streaming pass re-runs the manifest serially
@@ -1120,6 +1122,10 @@ fn run_smoke(registry: &DomainRegistry, args: &Args) -> i32 {
         let cj = serde_json::to_string(&c.result).expect("result serializes");
         if sj != pj {
             eprintln!("smoke FAIL: {id}: 1-worker and {workers}-worker results differ");
+            failures += 1;
+        }
+        if s.solver != p.solver {
+            eprintln!("smoke FAIL: {id}: 1-worker and {workers}-worker solver counts differ");
             failures += 1;
         }
         if pj != cj {

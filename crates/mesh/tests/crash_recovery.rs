@@ -9,14 +9,13 @@
 //! drain, flush, or checkpoint. Whatever survives is exactly what the
 //! journal and the store's fsync-before-rename discipline made durable.
 //!
-//! The byte-identity reference is an in-process serial run, which
-//! touches the process-global solver counters — hence the file-wide
-//! test mutex (same discipline as `mesh_e2e` and serve's `http_e2e`).
+//! The byte-identity reference is an in-process serial run. Its solver
+//! counts are its own (counters are per thread), so the tests of this
+//! binary run in parallel.
 
 use std::net::{SocketAddr, TcpListener};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 use xplain_core::pipeline::PipelineConfig;
@@ -28,14 +27,6 @@ use xplain_runtime::{
     TenantRegistry,
 };
 use xplain_serve::Client;
-
-fn test_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    match LOCK.get_or_init(|| Mutex::new(())).lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
 
 fn tiny_config() -> PipelineConfig {
     PipelineConfig {
@@ -250,7 +241,6 @@ fn journal_bytes(store_dir: &Path) -> u64 {
 /// so on `GET /v1/jobs/{id}`.
 #[test]
 fn sigkill_with_queued_jobs_recovers_every_accepted_job_byte_identically() {
-    let _guard = test_lock();
     let store_dir = scratch_dir("recover");
     let port = free_ports(1)[0];
     let addr: SocketAddr = format!("127.0.0.1:{port}").parse().unwrap();
@@ -349,7 +339,6 @@ fn sigkill_with_queued_jobs_recovers_every_accepted_job_byte_identically() {
 /// completion and resubmits answer from the store.
 #[test]
 fn gateway_serves_queued_work_after_its_shard_recovers_from_sigkill() {
-    let _guard = test_lock();
     let store_dir = scratch_dir("gateway");
     let port = free_ports(1)[0];
     let shard_addr: SocketAddr = format!("127.0.0.1:{port}").parse().unwrap();
@@ -433,7 +422,6 @@ struct PendingEntry {
 /// the recovered backlog drains to completion under enforcement.
 #[test]
 fn sigkill_with_two_tenant_backlog_recovers_attribution_and_order() {
-    let _guard = test_lock();
     let store_dir = scratch_dir("tenancy");
     let tenants_file =
         std::env::temp_dir().join(format!("xplain-crash-tenants-{}.json", std::process::id()));
@@ -559,7 +547,6 @@ fn sigkill_with_two_tenant_backlog_recovers_attribution_and_order() {
 /// the on-disk footprint stays flat instead of growing per cycle.
 #[test]
 fn repeated_kill_restart_cycles_keep_the_journal_bounded() {
-    let _guard = test_lock();
     let store_dir = scratch_dir("bounded");
     let port = free_ports(1)[0];
     let addr: SocketAddr = format!("127.0.0.1:{port}").parse().unwrap();

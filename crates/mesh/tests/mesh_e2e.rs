@@ -29,15 +29,16 @@
 //! byte-comparison must exclude (property 4 covers stealing with a
 //! deterministic, manually-ticked stealer instead).
 //!
-//! Solver counters are process-global and terminal watch lines embed
-//! per-job counter deltas, so tests that solve in *this* process hold a
-//! file-wide mutex (same discipline as serve's `http_e2e`).
+//! Terminal watch lines embed per-job solver counts. Those are the
+//! job's own (counters are per thread), so the in-process references
+//! match the shards' lines while other tests of this binary run in
+//! parallel.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use xplain_core::pipeline::PipelineConfig;
@@ -53,14 +54,6 @@ use xplain_runtime::{
 };
 use xplain_serve::http::{MAX_BODY_BYTES, MAX_HEAD_BYTES};
 use xplain_serve::{Client, MeshStatus, Server, ServerConfig, ServerHandle};
-
-fn test_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    match LOCK.get_or_init(|| Mutex::new(())).lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
 
 fn tiny_config() -> PipelineConfig {
     PipelineConfig {
@@ -316,7 +309,6 @@ fn wait_done(api: &Client, id: &str) -> StatusResp {
 /// and resubmits are cache hits.
 #[test]
 fn gateway_routed_streams_match_direct_runs_for_all_domains() {
-    let _guard = test_lock();
     let store_dir = scratch_dir("route");
     let ports = free_ports(3);
     let addrs: Vec<SocketAddr> = ports
@@ -425,7 +417,6 @@ fn gateway_routed_streams_match_direct_runs_for_all_domains() {
 /// checkpoint and the concatenated stream equals an uninterrupted run.
 #[test]
 fn cancel_then_shard_restart_then_resume_through_the_gateway() {
-    let _guard = test_lock();
     let store_dir = scratch_dir("restart");
     let ports = free_ports(3);
     let addrs: Vec<SocketAddr> = ports
@@ -559,8 +550,6 @@ fn start_inproc_shard(
 /// all-dead 503.
 #[test]
 fn gateway_fails_over_dead_owners_and_degrades_honestly() {
-    let _guard = test_lock();
-
     // One live in-process shard plus one permanently dead address.
     let (live, live_join) = start_inproc_shard(None, "live", 0, None);
     let dead_addr: SocketAddr = {
@@ -652,7 +641,6 @@ fn gateway_fails_over_dead_owners_and_degrades_honestly() {
 /// the process; both keep serving, and the next job completes.
 #[test]
 fn deeply_nested_submit_is_refused_and_the_mesh_keeps_serving() {
-    let _guard = test_lock();
     let (shard, shard_join) = start_inproc_shard(None, "deep", 0, None);
     let (gw, gw_join) = start_gateway(peers_of(&[shard.addr()]));
     let direct = client_at(shard.addr());
@@ -753,7 +741,6 @@ fn shard_and_gateway_fronts_refuse_requests_identically() {
 /// committed entry is origin-stamped.
 #[test]
 fn idle_shard_steals_queued_work_from_a_busy_peer() {
-    let _guard = test_lock();
     let store_dir = scratch_dir("steal");
 
     // Victim "a" paces its worker (150ms per fresh job) so submissions
@@ -868,7 +855,6 @@ fn idle_shard_steals_queued_work_from_a_busy_peer() {
 /// line (same store ⇒ same corpus ⇒ deterministic tuner).
 #[test]
 fn regressions_and_tune_are_identical_through_gateway_and_shard() {
-    let _guard = test_lock();
     let store_dir = scratch_dir("tune-proxy");
 
     let (shard, shard_join) = start_inproc_shard(Some(store_dir.clone()), "t0", 0, None);
@@ -940,7 +926,6 @@ fn regressions_and_tune_are_identical_through_gateway_and_shard() {
 /// report per-tenant metrics blocks.
 #[test]
 fn gateway_authenticates_tenants_at_the_edge_and_forwards_attribution() {
-    let _guard = test_lock();
     let tenants_file =
         std::env::temp_dir().join(format!("xplain-mesh-tenants-{}.json", std::process::id()));
     std::fs::write(

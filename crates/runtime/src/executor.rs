@@ -15,10 +15,11 @@
 //! * [`crate::domain::run_domain`] itself is deterministic given a seed.
 //!
 //! Therefore a manifest run with 1 worker and with N workers yields
-//! byte-for-byte identical per-job results — the property the tests and
-//! the `runner --smoke` CI gate pin down. The one nondeterministic field,
-//! `wall_time_ms`, is moved out of the stored result and into the
-//! [`JobOutcome`] wrapper (the stored copy is normalized to 0).
+//! byte-for-byte identical per-job results and per-job solver counts —
+//! the properties the tests and the `runner --smoke` CI gate pin down.
+//! The execution metadata, `wall_time_ms` and the solver counts, moves
+//! out of the stored result and into the [`JobOutcome`] wrapper (the
+//! stored copy is normalized to 0).
 //!
 //! Each job *is* an [`xplain_core::session::AnalysisSession`]: `run_job`
 //! drives the session's event stream, forwards events to an optional
@@ -37,12 +38,11 @@
 //! otherwise be queue memory; see DESIGN.md §10.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
 use xplain_core::pipeline::{PipelineConfig, PipelineResult};
 use xplain_core::session::{CancelToken, FinishReason, SessionBudgets, SessionError, SessionEvent};
-use xplain_lp::SolverCounters;
+use xplain_lp::{counters, SolverCounters};
 
 use crate::domain::{build_session, DomainRegistry};
 use crate::store::ResultStore;
@@ -95,11 +95,11 @@ pub struct JobOutcome {
     /// outside `result`, whose own `wall_time_ms` is normalized to 0 so
     /// results compare and cache byte-for-byte.
     pub wall_time_ms: u64,
-    /// Solver work observed during this execution (zero on cache hits;
-    /// cumulative across segments on resumed sessions). Same treatment
-    /// as `wall_time_ms`: the stored result's copy is normalized because
-    /// the process-wide counters bleed across concurrently running jobs,
-    /// which would break the 1-worker ≡ N-workers determinism guarantee.
+    /// The solver work this execution did (zero on cache hits;
+    /// cumulative across segments on resumed sessions), whatever else
+    /// ran beside it. Same treatment as `wall_time_ms`: it describes the
+    /// execution, not the result, so the stored result's copy is
+    /// normalized to zero.
     pub solver: SolverCounters,
     /// `Some` unless the job failed (unknown domain id).
     pub result: Option<PipelineResult>,
@@ -201,10 +201,12 @@ fn effective_workers(requested: usize, n_jobs: usize) -> usize {
 /// (0 = auto). Results return in index order regardless of scheduling;
 /// a panicking task propagates (the whole fan-out fails loudly rather
 /// than reporting partial results; manifest jobs never panic out of
-/// `run_job`).
+/// `run_job`). The workers' solver work lands on the calling thread's
+/// counters, as if it had run every task itself.
 ///
-/// This is the shared primitive under [`run_manifest`] and the repro
-/// harness's concurrent E1–E9 regeneration.
+/// This is the shared primitive under [`run_manifest`], the tune
+/// engine's candidate scoring and the repro harness's concurrent E1–E9
+/// regeneration.
 pub fn fan_out<T, F>(n: usize, workers: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -218,27 +220,21 @@ where
         return (0..n).map(f).collect();
     }
     let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let value = f(i);
-                *slots[i].lock().expect("result slot poisoned") = Some(value);
-            });
+    let mut done: Vec<(usize, T)> = counters::on_threads(workers, |_| {
+        let mut claimed = Vec::new();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                return claimed;
+            }
+            claimed.push((i, f(i)));
         }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .expect("worker filled every slot")
-        })
-        .collect()
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+    done.sort_unstable_by_key(|(i, _)| *i);
+    done.into_iter().map(|(_, value)| value).collect()
 }
 
 /// Per-event observer: `(manifest index, event)`. `Sync` because workers
@@ -523,12 +519,11 @@ pub(crate) mod tests {
         }
     }
 
-    /// An outcome's JSON without its execution metadata (`wall_time_ms`
-    /// and the process-wide solver counters), which differ run to run.
+    /// An outcome's JSON without its wall clock, which differs run to
+    /// run.
     fn outcome_bytes(outcome: &JobOutcome) -> String {
         let mut outcome = outcome.clone();
         outcome.wall_time_ms = 0;
-        outcome.solver = SolverCounters::default();
         serde_json::to_string(&outcome).expect("outcome serializes")
     }
 
@@ -630,6 +625,30 @@ pub(crate) mod tests {
     fn fan_out_handles_empty_and_serial() {
         assert!(fan_out(0, 4, |i| i).is_empty());
         assert_eq!(fan_out(3, 1, |i| i + 1), vec![1, 2, 3]);
+    }
+
+    /// The tasks' solves count on the thread that called `fan_out`, the
+    /// same on 1 worker as on 3.
+    #[test]
+    fn fan_out_hands_solver_work_to_the_caller() {
+        use xplain_lp::{Cmp, Model, Sense};
+        let solve = |i: usize| {
+            let mut m = Model::new(Sense::Maximize);
+            let x = m.add_nonneg("x");
+            m.add_constr("cap", x * 1.0, Cmp::Le, i as f64);
+            m.set_objective(x * 1.0);
+            m.solve().unwrap().objective
+        };
+        let totals: Vec<SolverCounters> = [1, 3]
+            .into_iter()
+            .map(|workers| {
+                let before = SolverCounters::snapshot();
+                fan_out(12, workers, solve);
+                SolverCounters::snapshot().since(&before)
+            })
+            .collect();
+        assert_eq!(totals[0].lp_solves, 12, "{:?}", totals[0]);
+        assert_eq!(totals[0], totals[1]);
     }
 
     #[test]

@@ -42,6 +42,7 @@ use std::time::Duration;
 
 use xplain_core::pipeline::PipelineConfig;
 use xplain_core::session::{CancelToken, FinishReason, SessionEvent};
+use xplain_lp::SolverCounters;
 
 use crate::domain::DomainRegistry;
 use crate::executor::{blank_outcome, derive_seed, run_job, JobOutcome, JobSpec, RunOptions};
@@ -256,6 +257,9 @@ pub struct QueueCounters {
     /// ([`JobQueue::recover`]) — accepted by a previous process over the
     /// same store that died before finishing them.
     pub recovered: u64,
+    /// The summed [`JobOutcome::solver`] of every execution that reached
+    /// `Done`.
+    pub solver: SolverCounters,
 }
 
 /// Point-in-time per-tenant gauges and counters (the `tenants` block of
@@ -347,6 +351,8 @@ struct QueueState {
     /// Completion order, oldest first — the eviction queue when
     /// [`QueueOptions::retain_done`] bounds retained completions.
     done_order: VecDeque<usize>,
+    /// See [`QueueCounters::solver`].
+    solver: SolverCounters,
 }
 
 /// The shared job queue. See the module docs for the contract.
@@ -401,6 +407,7 @@ impl<'a> JobQueue<'a> {
                 tenant_stats: HashMap::new(),
                 by_key: HashMap::new(),
                 done_order: VecDeque::new(),
+                solver: SolverCounters::default(),
             }),
             work_cv: Condvar::new(),
             event_cv: Condvar::new(),
@@ -1086,6 +1093,7 @@ impl<'a> JobQueue<'a> {
             rejected_full: self.rejected_full.load(Ordering::Relaxed),
             donated: self.donated.load(Ordering::Relaxed),
             recovered: self.recovered.load(Ordering::Relaxed),
+            solver: self.state.lock().expect("queue state").solver,
         }
     }
 
@@ -1281,6 +1289,7 @@ impl<'a> JobQueue<'a> {
         }
 
         let mut state = self.state.lock().expect("queue state");
+        state.solver = state.solver.plus(&outcome.solver);
         let slot = &mut state.slots[slot_idx];
         slot.state = SlotState::Done(Box::new(outcome));
         slot.events_done = true;

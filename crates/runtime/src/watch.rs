@@ -10,11 +10,9 @@
 //! embedded result).
 //!
 //! `solver` is populated on terminal (`"finished"`) lines only and
-//! carries the session's accumulated [`SolverCounters`] — the same delta
-//! the batch summary table prints from `JobOutcome::solver`, which the
-//! watch stream used to drop (the batch path normalizes the counters out
-//! of the stored result *after* the stream ends, so NDJSON consumers had
-//! no per-job solver numbers at all).
+//! carries the session's accumulated [`SolverCounters`]: the job's own
+//! solver work, the numbers the batch summary table prints from
+//! `JobOutcome::solver`.
 
 use serde::{Deserialize, Serialize};
 use xplain_core::session::SessionEvent;
@@ -29,11 +27,10 @@ pub struct WatchLine {
     pub domain: String,
     /// [`SessionEvent::kind`] of the embedded event.
     pub kind: String,
-    /// The per-job solver counter delta — terminal lines only (`None`,
-    /// serialized as `null`, elsewhere). Equals `JobOutcome::solver` for
-    /// a computed job: cumulative across resumed segments, a superset
-    /// under concurrent workers (the same process-global attribution
-    /// caveat `SolverCounters` documents).
+    /// The job's solver work — terminal lines only (`None`, serialized
+    /// as `null`, elsewhere). Equals `JobOutcome::solver` for a computed
+    /// job: cumulative across resumed segments, and the job's own work
+    /// however many workers ran beside it.
     #[serde(default)]
     pub solver: Option<SolverCounters>,
     pub event: SessionEvent,

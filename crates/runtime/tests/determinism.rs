@@ -147,3 +147,33 @@ fn corrupted_store_entry_recovers_through_the_executor() {
     assert!(third.iter().all(|o| o.cache_hit));
     let _ = std::fs::remove_dir_all(store.dir());
 }
+
+/// A dp job's solver counts are its own: the same job reports the same
+/// `JobOutcome::solver` alone on one worker and beside two other dp jobs
+/// on three. Its explainer runs two sample threads, so this also covers
+/// the work those threads hand back.
+#[test]
+fn dp_solver_counts_do_not_depend_on_the_jobs_beside_it() {
+    let registry = DomainRegistry::builtin();
+    let mut config = tiny_config(30, 60, 100);
+    config.explainer.threads = 2;
+    let jobs: Vec<JobSpec> = [11, 12, 13]
+        .into_iter()
+        .map(|seed| JobSpec {
+            domain: "dp".into(),
+            config: config.clone(),
+            seed,
+            budgets: Default::default(),
+        })
+        .collect();
+    let alone = run_manifest(&registry, &jobs[..1], None, 1);
+    assert!(alone[0].solver.lp_solves > 0, "{:?}", alone[0].solver);
+    for round in 0..3 {
+        let beside = run_manifest(&registry, &jobs, None, 3);
+        assert_eq!(
+            beside[0].solver, alone[0].solver,
+            "round {round}: the job's counts moved with its neighbours"
+        );
+        assert_eq!(results_json(&beside[..1]), results_json(&alone));
+    }
+}

@@ -8,10 +8,9 @@
 //! state machine must reproduce the monolithic loop's RNG draw sequence
 //! and accounting exactly.
 //!
-//! One `#[test]` on purpose: solver counters are process-global, and a
-//! single test per binary keeps this process free of concurrent solves,
-//! so the legacy single-delta and the session's accumulated per-step
-//! deltas are exactly comparable. Only `wall_time_ms` is normalized —
+//! Solver counters are per thread, so the legacy single delta and the
+//! session's accumulated per-stage deltas count exactly this test's
+//! solves and compare as they are. Only `wall_time_ms` is normalized —
 //! it is execution metadata (the executor zeroes it in stored results
 //! for the same reason).
 

@@ -4,11 +4,10 @@
 //! --resume` leaves behind), resume, and demand the final
 //! `PipelineResult` byte-identical to the uninterrupted run's.
 //!
-//! One `#[test]` on purpose: solver counters are process-global, and
-//! keeping this binary single-test means the uninterrupted run's
-//! accumulated counters and every resumed run's (partial + rest) sum are
-//! exactly comparable — so `solver` is *not* normalized here, pinning
-//! that budget accounting survives interruption too. Only
+//! Solver counters are per thread, so the uninterrupted run's
+//! accumulated counters and every resumed run's (partial + rest) sum
+//! count exactly this test's solves — `solver` is *not* normalized here,
+//! pinning that budget accounting survives interruption too. Only
 //! `wall_time_ms` (pure execution metadata) is normalized.
 
 use xplain_core::pipeline::PipelineConfig;

@@ -2,19 +2,20 @@
 //! and checkpoint-resume through `run_manifest_opts` — the API surface
 //! `runner --watch/--resume/--deadline-ms/--max-analyzer-calls` drives.
 //!
-//! Solver counters are normalized in comparisons here (multiple tests
-//! share this process, so the process-global counters bleed); the
-//! single-test binaries `replay_pin` and `session_resume` pin the
-//! counter accounting exactly.
+//! Solver counters are per thread, so the tests here compare them as
+//! they are, beside each other and beside solves on other threads; only
+//! `wall_time_ms` is normalized.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 use xplain_core::pipeline::PipelineConfig;
 use xplain_core::session::{FinishReason, SessionBudgets, SessionEvent};
 use xplain_core::subspace::SubspaceParams;
 use xplain_core::{ExplainerParams, PipelineResult, SignificanceParams};
+use xplain_lp::{Cmp, Model, Sense};
 use xplain_runtime::{
-    run_manifest, run_manifest_opts, DomainRegistry, JobSpec, ResultStore, RunOptions,
+    run_manifest, run_manifest_opts, DomainRegistry, JobOutcome, JobSpec, ResultStore, RunOptions,
 };
 
 fn tiny_config() -> PipelineConfig {
@@ -53,7 +54,6 @@ fn job(domain: &str, budgets: SessionBudgets) -> JobSpec {
 fn normalized(result: &Option<PipelineResult>) -> String {
     let mut r = result.clone().expect("result present");
     r.wall_time_ms = 0;
-    r.solver = Default::default();
     serde_json::to_string(&r).expect("result serializes")
 }
 
@@ -262,4 +262,48 @@ fn outcomes_serialize_with_structured_errors_and_finish() {
         }
     );
     assert!(back[1].finish.is_none());
+}
+
+/// A solver-iteration budget counts the session's own work: a dp job
+/// stopped by one stops at the same event with the same bytes and
+/// counts whether it runs alone or while another thread solves LPs for
+/// as long as it runs.
+#[test]
+fn solver_budget_ignores_solves_on_other_threads() {
+    let registry = DomainRegistry::builtin();
+    let mut spec = job("dp", SessionBudgets::unlimited());
+    spec.config.max_subspaces = 2;
+    let full = run_manifest(&registry, std::slice::from_ref(&spec), None, 1);
+    let total = full[0].solver.lp_iterations + full[0].solver.lp_dual_iterations;
+    assert!(total > 0, "{:?}", full[0].solver);
+    spec.budgets.max_solver_iterations = Some(total / 2);
+    let run = || run_manifest(&registry, std::slice::from_ref(&spec), None, 1);
+    let stopped = |outcomes: &[JobOutcome]| {
+        let finish = outcomes[0].finish.clone().expect("session ran");
+        assert_eq!(finish.reason, FinishReason::SolverBudgetExhausted);
+        (
+            finish.events,
+            outcomes[0].solver,
+            normalized(&outcomes[0].result),
+        )
+    };
+    let alone = stopped(&run());
+    let done = AtomicBool::new(false);
+    let beside = std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut m = Model::new(Sense::Maximize);
+            let x = m.add_nonneg("x");
+            let y = m.add_nonneg("y");
+            m.add_constr("cap", x + y, Cmp::Le, 3.0);
+            m.add_constr("x", x * 1.0, Cmp::Le, 2.0);
+            m.set_objective(x * 2.0 + y);
+            while !done.load(Ordering::Relaxed) {
+                m.solve().unwrap();
+            }
+        });
+        let outcomes = run();
+        done.store(true, Ordering::Relaxed);
+        outcomes
+    });
+    assert_eq!(stopped(&beside), alone);
 }

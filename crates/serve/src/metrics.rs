@@ -1,5 +1,5 @@
 //! The `GET /v1/metrics` surface: queue gauges, cache effectiveness,
-//! process-wide solver counters, and per-route latency histograms.
+//! served solver work, and per-route latency histograms.
 //!
 //! Latencies land in log-bucketed [`xplain_stats::Histogram`]s (constant
 //! memory on a long-lived server; quantile error bounded by the bucket
@@ -92,9 +92,9 @@ impl std::fmt::Debug for MeshStatus {
 /// Live metric collectors for one server.
 pub struct ServerMetrics {
     started: Instant,
-    /// Baseline so the report shows solver work done *by this server*,
-    /// not whatever the process accumulated before it started.
-    solver_at_start: SolverCounters,
+    /// Solver work of the `POST /v1/tune` runs that finished (the
+    /// queue counts its jobs' own).
+    tune_solver: Mutex<SolverCounters>,
     routes: Vec<(&'static str, Mutex<Histogram>)>,
 }
 
@@ -102,7 +102,7 @@ impl ServerMetrics {
     pub fn new() -> Self {
         ServerMetrics {
             started: Instant::now(),
-            solver_at_start: SolverCounters::snapshot(),
+            tune_solver: Mutex::new(SolverCounters::default()),
             routes: ROUTE_TAGS
                 .iter()
                 .map(|tag| (*tag, Mutex::new(Histogram::latency_ms())))
@@ -115,6 +115,13 @@ impl ServerMetrics {
         if let Some((_, hist)) = self.routes.iter().find(|(t, _)| *t == tag) {
             hist.lock().expect("route histogram").record(latency_ms);
         }
+    }
+
+    /// Add one finished tune run's solver work to the report's `solver`
+    /// block.
+    pub fn add_tune_solver(&self, work: &SolverCounters) {
+        let mut total = self.tune_solver.lock().expect("tune solver total");
+        *total = total.plus(work);
     }
 
     /// Assemble the report against the live queue. Each attachment fills
@@ -155,7 +162,9 @@ impl ServerMetrics {
             bank: store.map(|s| s.bank().info()),
             journal: journal.map(|j| j.stats()),
             mesh: mesh.map(|m| m.report(counters.donated)),
-            solver: SolverCounters::snapshot().since(&self.solver_at_start),
+            solver: counters
+                .solver
+                .plus(&self.tune_solver.lock().expect("tune solver total")),
             routes: self
                 .routes
                 .iter()
@@ -207,8 +216,8 @@ pub struct MetricsReport {
     pub journal: Option<JournalStats>,
     /// Mesh gauges (`null` on a standalone server).
     pub mesh: Option<MeshReport>,
-    /// Solver work since this server started (process-wide counters; a
-    /// superset of served work if something else solves in-process).
+    /// The summed solver work of this server's finished jobs (their
+    /// `JobOutcome::solver`) and tune runs.
     pub solver: SolverCounters,
     /// Per-route latency, routes with traffic only.
     pub routes: Vec<RouteLatency>,
@@ -350,6 +359,33 @@ mod tests {
         assert!(json.contains("\"mesh\":null"), "{json}");
         assert!(report.bank.is_none());
         assert!(json.contains("\"bank\":null"), "{json}");
+    }
+
+    /// The solver block counts reported work only: solving elsewhere in
+    /// the process does not move it, and tune runs add theirs.
+    #[test]
+    fn solver_block_sums_reported_work() {
+        use xplain_lp::{Cmp, Model, Sense};
+        let registry = DomainRegistry::builtin();
+        let queue = JobQueue::new(&registry, None, QueueOptions::default());
+        let metrics = ServerMetrics::new();
+        let mut m = Model::new(Sense::Maximize);
+        let x = m.add_nonneg("x");
+        m.add_constr("cap", x * 1.0, Cmp::Le, 1.0);
+        m.set_objective(x * 1.0);
+        m.solve().unwrap();
+        let report = metrics.report(&queue, None, None, None, None);
+        assert_eq!(report.solver, SolverCounters::default());
+        let tune = SolverCounters {
+            lp_solves: 3,
+            lp_warm_hits: 2,
+            lp_cold_starts: 1,
+            ..Default::default()
+        };
+        metrics.add_tune_solver(&tune);
+        metrics.add_tune_solver(&tune);
+        let report = metrics.report(&queue, None, None, None, None);
+        assert_eq!(report.solver, tune.plus(&tune));
     }
 
     #[test]

@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 use serde::Serialize;
 use xplain_runtime::{
     BankRecord, DomainRegistry, JobJournal, JobOutcome, JobPhase, JobQueue, JobSpec, QueueFull,
-    QueueOptions, RegressionBank, ResultStore, TenantRegistry,
+    QueueOptions, RegressionBank, ResultStore, SolverCounters, TenantRegistry,
 };
 use xplain_tune::{generation_line, report_line, tune_with, TuneOptions};
 
@@ -714,6 +714,7 @@ fn handle_tune(
     // corpus) still get a proper JSON error status.
     let mut streaming = false;
     let mut broken = false;
+    let solver_before = SolverCounters::snapshot();
     let result = tune_with(domain, &records, &opts, |stat| {
         if broken {
             return;
@@ -729,6 +730,8 @@ fn handle_tune(
             broken = true;
         }
     });
+    ctx.metrics
+        .add_tune_solver(&SolverCounters::snapshot().since(&solver_before));
     match result {
         // Streaming already started: the client sees truncation.
         Err(e) => (!streaming).then(|| Response::error(400, &e.to_string())),

@@ -8,13 +8,12 @@
 //! break for every deployed peer, so it must show up as a test diff,
 //! not as a silent drift the gateway discovers in production.
 //!
-//! Solver counters are process-global; tests that execute jobs hold the
-//! usual file-wide mutex.
+//! The tests run in parallel: each owns its server and store, and solver
+//! counters are per thread, so no job's numbers depend on another test.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 use xplain_core::pipeline::PipelineConfig;
@@ -22,14 +21,6 @@ use xplain_core::subspace::SubspaceParams;
 use xplain_core::{ExplainerParams, SignificanceParams};
 use xplain_runtime::{DomainRegistry, JobSpec, SessionBudgets, TenantRegistry};
 use xplain_serve::{Client, Server, ServerConfig, ServerHandle};
-
-fn test_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    match LOCK.get_or_init(|| Mutex::new(())).lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
 
 fn tiny_config() -> PipelineConfig {
     PipelineConfig {
@@ -162,7 +153,6 @@ fn wait_done(api: &Client, id: &str) {
 /// one sweep over a live server.
 #[test]
 fn success_bodies_and_status_codes_are_pinned() {
-    let _guard = test_lock();
     let store_dir = scratch_dir("shapes");
     let (handle, join) = start_server(Some(store_dir.clone()), 16, 0);
     let api = client(&handle);
@@ -316,7 +306,6 @@ fn success_bodies_and_status_codes_are_pinned() {
 /// key off (`Allow`, `Retry-After`).
 #[test]
 fn error_envelopes_codes_and_headers_are_pinned() {
-    let _guard = test_lock();
     // capacity 1 + a paced worker makes the 429 deterministic: one job
     // runs (held ≥300ms), one waits, the next submission overflows.
     let (handle, join) = start_server(None, 1, 300);
@@ -430,7 +419,6 @@ fn error_envelopes_codes_and_headers_are_pinned() {
 /// when enforcing (liveness probes and mesh internals rely on it).
 #[test]
 fn tenancy_auth_quota_and_metrics_surfaces_are_pinned() {
-    let _guard = test_lock();
     let dir = scratch_dir("tenancy");
     std::fs::create_dir_all(&dir).unwrap();
     let config_path = dir.join("tenants.json");
@@ -582,7 +570,6 @@ fn tenancy_auth_quota_and_metrics_surfaces_are_pinned() {
 /// from a truncated one.
 #[test]
 fn event_stream_framing_is_one_ndjson_line_per_chunk() {
-    let _guard = test_lock();
     let (handle, join) = start_server(None, 16, 0);
     let api = client(&handle);
 
@@ -644,7 +631,6 @@ fn event_stream_framing_is_one_ndjson_line_per_chunk() {
 /// a store-backed server.
 #[test]
 fn regression_and_tune_surfaces_are_pinned() {
-    let _guard = test_lock();
     let store_dir = scratch_dir("tune");
     let (handle, join) = start_server(Some(store_dir.clone()), 16, 0);
     let api = client(&handle);

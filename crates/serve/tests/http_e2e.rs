@@ -18,13 +18,12 @@
 //!    back (another process on the same store, e.g. a mesh shard) show
 //!    up on the very next `GET /v1/regressions` page.
 //!
-//! Solver counters are process-global, and terminal watch lines embed
-//! each job's counter delta — so tests that compare terminal lines must
-//! not solve concurrently. A file-wide mutex serializes them (the same
-//! reason `session_resume.rs` is a single-`#[test]` binary).
+//! Terminal watch lines embed each job's solver counts, and those are
+//! the job's own (counters are per thread), so the tests compare them
+//! byte for byte while other tests of this binary solve in parallel.
 
 use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::Mutex;
 use std::time::Duration;
 
 use xplain_core::pipeline::{PipelineConfig, SubspaceFinding, Witness};
@@ -32,18 +31,9 @@ use xplain_core::subspace::{Subspace, SubspaceParams};
 use xplain_core::{ExplainerParams, SignificanceParams};
 use xplain_runtime::{
     run_manifest_opts, watch_line, BankRecord, DomainRegistry, JobOutcome, JobSpec, RegressionBank,
-    RunOptions, SessionBudgets, SessionEvent, WatchLine,
+    RunOptions, SessionBudgets, SessionEvent, SolverCounters, WatchLine,
 };
 use xplain_serve::{Client, Server, ServerConfig, ServerHandle};
-
-/// Serializes the solver-counter-sensitive tests (see module docs).
-fn test_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    match LOCK.get_or_init(|| Mutex::new(())).lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
 
 fn tiny_config() -> PipelineConfig {
     PipelineConfig {
@@ -202,16 +192,15 @@ struct StatusResp {
 /// cache hits served without recomputation.
 #[test]
 fn served_streams_match_direct_runs_for_all_domains() {
-    let _guard = test_lock();
     let store_dir = scratch_dir("stream");
     let (handle, join) = start_server(Some(store_dir.clone()), 1, 16);
     let api = client(&handle);
 
+    let mut reference_solver = SolverCounters::default();
     for domain in ["dp", "ff", "sched"] {
         let job = spec(domain, 0xE2E);
-        // Reference first — solver counters are process-global, so the
-        // direct run and the served run must not overlap in time.
         let (reference, ref_outcome) = reference_lines(&job);
+        reference_solver = reference_solver.plus(&ref_outcome.solver);
 
         let resp = api.post("/v1/jobs", &spec_json(&job)).unwrap();
         assert_eq!(resp.status, 202, "{domain}: {}", resp.body);
@@ -272,6 +261,14 @@ fn served_streams_match_direct_runs_for_all_domains() {
         .unwrap()
         .as_seq()
         .is_some_and(|routes| !routes.is_empty()));
+    // The solver block is the served jobs' own work, which equals the
+    // direct runs'.
+    #[derive(serde::Deserialize)]
+    struct MetricsSolver {
+        solver: SolverCounters,
+    }
+    let reported: MetricsSolver = serde_json::from_str(&resp.body).unwrap();
+    assert_eq!(reported.solver, reference_solver);
 
     handle.shutdown();
     join.join().unwrap();
@@ -283,7 +280,6 @@ fn served_streams_match_direct_runs_for_all_domains() {
 /// concatenated event stream is byte-identical to an uninterrupted run.
 #[test]
 fn cancelled_stream_resumes_on_resubmit_with_identical_concatenated_stream() {
-    let _guard = test_lock();
     let store_dir = scratch_dir("cancel-resume");
     let (handle, join) = start_server(Some(store_dir.clone()), 1, 16);
     let api = client(&handle);
@@ -371,7 +367,6 @@ fn cancelled_stream_resumes_on_resubmit_with_identical_concatenated_stream() {
 /// a Retry-After; plus the small-surface error paths (404/405/400).
 #[test]
 fn full_queue_answers_429_and_error_paths_are_clean() {
-    let _guard = test_lock();
     let (handle, join) = start_server(None, 1, 1);
     let api = client(&handle);
 
@@ -459,7 +454,6 @@ fn full_queue_answers_429_and_error_paths_are_clean() {
 /// restart-durability story.
 #[test]
 fn shutdown_checkpoints_inflight_and_next_server_resumes() {
-    let _guard = test_lock();
     let store_dir = scratch_dir("shutdown");
     let job = spec("sched", 0x5D0D0);
     let (reference, _) = reference_lines(&job);
