@@ -27,8 +27,7 @@
 //! thresholds, heuristic variants).
 //!
 //! `cargo run -p xplain-bench --release --bin repro -- all` regenerates
-//! everything, and `cargo bench -p xplain-bench` runs the Criterion
-//! timing benches. The crate has one binary, `repro`.
+//! everything. The crate has one binary, `repro`.
 //!
 //! The end-to-end benchmark of the served stack is `perfbench/` at the
 //! repo root (`BENCHMARK.json`). The solver speed gates are

@@ -112,15 +112,6 @@ impl Subspace {
     pub fn contains(&self, x: &[f64]) -> bool {
         self.polytope.contains(x, 1e-9)
     }
-
-    /// Center of the rough box.
-    pub fn center(&self) -> Vec<f64> {
-        self.rough_lo
-            .iter()
-            .zip(&self.rough_hi)
-            .map(|(l, h)| 0.5 * (l + h))
-            .collect()
-    }
 }
 
 /// Grow a subspace around `seed` (§5.2 steps 1–2 plus tree refinement).

@@ -32,7 +32,10 @@ pub struct TeProblem {
 pub struct TeAllocation {
     /// `flows[k][p]` = flow of demand `k` on path `p`.
     pub flows: Vec<Vec<f64>>,
-    /// Total routed flow (the TE objective).
+    /// Total routed flow (the TE objective): stage 1's optimum, the
+    /// value [`TeLexSolver::total_flow`] returns and the gap uses. The
+    /// flows may sum to up to `1e-9 * total` less (stage 2's
+    /// `lex_total` slack).
     pub total: f64,
 }
 
@@ -372,6 +375,7 @@ impl TeLexSolver {
     /// the optima minimize the flow carried by each demand's shortest
     /// path. `capacities` overrides the topology's link capacities and a
     /// `skip_demand` entry zeroes that demand (Demand Pinning's phase 2).
+    /// The allocation's `total` is stage 1's objective.
     pub fn solve_max_flow_lex(
         &mut self,
         volumes: &[f64],
@@ -388,23 +392,13 @@ impl TeLexSolver {
             .set_rhs(n + self.link_caps.len(), lex_total_pin(total));
         let sol2 = self.session2.solve_prepared(&self.stage2)?;
 
-        let mut flows = Vec::with_capacity(n);
-        let mut var_ix = 0usize;
-        let mut routed = 0.0;
-        for &count in &self.path_counts {
-            let mut row = Vec::with_capacity(count);
-            for _ in 0..count {
-                let f = sol2.values[var_ix].max(0.0);
-                routed += f;
-                row.push(f);
-                var_ix += 1;
-            }
-            flows.push(row);
-        }
-        Ok(TeAllocation {
-            flows,
-            total: routed,
-        })
+        let mut values = sol2.values.iter().map(|f| f.max(0.0));
+        let flows = self
+            .path_counts
+            .iter()
+            .map(|&count| values.by_ref().take(count).collect())
+            .collect();
+        Ok(TeAllocation { flows, total })
     }
 
     /// The benchmark (see [`TeProblem::optimal`]) through the prepared
@@ -510,7 +504,7 @@ mod tests {
     /// byte-identical allocations across a sweep (they feed the replay
     /// pins, which compare serialized output exactly). The model path
     /// builds both stage models per point and solves each through its own
-    /// warm session.
+    /// warm session; its total is the stage-1 objective.
     #[test]
     fn te_lex_solver_matches_model_path() {
         let p = TeProblem::fig1a();
@@ -522,7 +516,6 @@ mod tests {
             let stage2 = p.lex_stage2_model(model, lex_total_pin(total));
             let sol2 = sessions.1.solve(&stage2).unwrap();
             let flows: Vec<f64> = sol2.values.iter().map(|f| f.max(0.0)).collect();
-            let total = flows.iter().fold(0.0, |acc, f| acc + f);
             (total, flows)
         };
         let mut check = |volumes: &[f64], caps: Option<&[f64]>, skips: &[bool]| {
@@ -574,6 +567,34 @@ mod tests {
         assert_eq!(work.lp_warm_hits, 600);
         assert_eq!(work.lp_cold_starts, 0);
         assert_eq!(work.lp_refactorizations, 0);
+    }
+
+    /// "TE total" has one meaning: the benchmark's reported total is,
+    /// bit for bit, the stage-1 objective the gap computes from the
+    /// anchor, not the stage-2 vertex's flow sum.
+    #[test]
+    fn optimal_total_is_the_stage1_objective() {
+        use rand::{Rng, SeedableRng};
+        for p in [TeProblem::fig1a(), TeProblem::fig4a()] {
+            let mut solver = p.lex_solver().unwrap();
+            let mut rng = rand::rngs::StdRng::seed_from_u64(16);
+            let mut points: Vec<Vec<f64>> = (0..300)
+                .map(|_| {
+                    (0..p.num_demands())
+                        .map(|_| rng.gen_range(0.0..=p.demand_cap))
+                        .collect()
+                })
+                .collect();
+            if p.num_demands() == 3 {
+                points.push(vec![50.0, 100.0, 100.0]);
+            }
+            for x in &points {
+                let reported = p.optimal(x).unwrap().total;
+                solver.restore_anchor();
+                let gap_total = solver.total_flow(x, None, &[]).unwrap();
+                assert_eq!(reported.to_bits(), gap_total.to_bits(), "at {x:?}");
+            }
+        }
     }
 
     /// A stack grows by a solver without solving the anchor again, and

@@ -14,8 +14,8 @@
 //!   cold phase-1 solve.
 //!
 //! [`Backend::Reference`] swaps the per-node LP for the reference tableau
-//! solver (cold every node) — the baseline of the solver benches and the
-//! differential MILP tests.
+//! solver (cold every node) — the baseline of the `solver_speed` B&B
+//! replay gate and the differential MILP tests.
 
 use crate::counters;
 use crate::error::LpError;

@@ -2,10 +2,11 @@
 //!
 //! This is the original solver of the reproduction, kept alive verbatim as
 //! the slow-but-trusted oracle for the differential test-bed
-//! (`crates/lp/tests/differential.rs`) and the baseline of the solver
-//! benches. The production hot path is [`crate::revised`]; two-sided
-//! variable bounds here become explicit `y <= hi - lo` constraint rows,
-//! which is exactly the overhead the revised solver removes.
+//! (`crates/lp/tests/differential.rs`) and the baseline of the
+//! `solver_speed` gates (`crates/analyzer/tests/solver_speed.rs`). The
+//! production hot path is [`crate::revised`]; two-sided variable bounds
+//! here become explicit `y <= hi - lo` constraint rows, which is exactly
+//! the overhead the revised solver removes.
 //!
 //! The solver converts a [`Model`] to standard form (`min c'y, Ay = b, y >= 0`)
 //! by shifting/splitting bounded and free variables, then runs phase 1 with

@@ -101,7 +101,9 @@
 //! strictly lower. `--quick` uses the CI-sized preset, `--watch`
 //! streams one `{"generation":…}` NDJSON line per generation and a
 //! terminal `{"report":…}` line (byte-identical to `POST /v1/tune`),
-//! `--json` prints the bare report object. The tuner is deterministic:
+//! `--json` prints the bare report object. The options resolve as
+//! `POST /v1/tune` resolves them (`TuneOptions::resolve`: generations
+//! 1–256, population 2–256, workers 1–8). The tuner is deterministic:
 //! `--workers N` changes wall-clock only, never a byte of output.
 //!
 //! `runner bank replay` is the regression gate: it recomputes every
@@ -625,7 +627,6 @@ fn shutdown_children(children: &mut Vec<(std::process::Child, std::net::SocketAd
 fn tune_main(argv: &[String]) -> i32 {
     let mut domain_id: Option<String> = None;
     let mut store_dir: Option<String> = None;
-    let mut opts = TuneOptions::default();
     let mut quick = false;
     let mut watch = false;
     let mut json = false;
@@ -674,21 +675,7 @@ fn tune_main(argv: &[String]) -> i32 {
         eprintln!("runner tune: unknown domain '{domain_id}' (try --list-domains)\n{USAGE}");
         return 2;
     };
-    if quick {
-        opts = TuneOptions::quick();
-    }
-    if let Some(n) = generations {
-        opts.generations = n.max(1);
-    }
-    if let Some(n) = population {
-        opts.population = n.max(2);
-    }
-    if let Some(s) = seed {
-        opts.seed = s;
-    }
-    if let Some(w) = workers {
-        opts.workers = w.max(1);
-    }
+    let opts = TuneOptions::resolve(quick, generations, population, seed, workers);
 
     let records = ResultStore::new(&dir).bank().entries();
     let on_generation = |stat: &xplain_tune::GenerationStat| {

@@ -36,7 +36,7 @@
 //! event; workers then drain and return.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
@@ -351,8 +351,9 @@ struct QueueState {
     /// Completion order, oldest first — the eviction queue when
     /// [`QueueOptions::retain_done`] bounds retained completions.
     done_order: VecDeque<usize>,
-    /// See [`QueueCounters::solver`].
-    solver: SolverCounters,
+    /// The metrics surface, updated in the same critical sections that
+    /// change the slots it counts, so one lock reads a consistent copy.
+    counters: QueueCounters,
 }
 
 /// The shared job queue. See the module docs for the contract.
@@ -379,13 +380,6 @@ pub struct JobQueue<'a> {
     event_cv: Condvar,
     shutting_down: AtomicBool,
     active: AtomicUsize,
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    cache_hits: AtomicU64,
-    cancelled: AtomicU64,
-    rejected_full: AtomicU64,
-    donated: AtomicU64,
-    recovered: AtomicU64,
 }
 
 impl<'a> JobQueue<'a> {
@@ -407,19 +401,12 @@ impl<'a> JobQueue<'a> {
                 tenant_stats: HashMap::new(),
                 by_key: HashMap::new(),
                 done_order: VecDeque::new(),
-                solver: SolverCounters::default(),
+                counters: QueueCounters::default(),
             }),
             work_cv: Condvar::new(),
             event_cv: Condvar::new(),
             shutting_down: AtomicBool::new(false),
             active: AtomicUsize::new(0),
-            submitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            cancelled: AtomicU64::new(0),
-            rejected_full: AtomicU64::new(0),
-            donated: AtomicU64::new(0),
-            recovered: AtomicU64::new(0),
         }
     }
 
@@ -471,10 +458,7 @@ impl<'a> JobQueue<'a> {
                     // entry so compaction can drop the job.
                     journal.record_done(sub.key);
                 }
-                Ok(_) => {
-                    scheduled += 1;
-                    self.recovered.fetch_add(1, Ordering::Relaxed);
-                }
+                Ok(_) => scheduled += 1,
                 Err(_) => {} // queue full: recovered on the next restart
             }
         }
@@ -622,9 +606,9 @@ impl<'a> JobQueue<'a> {
             slot.events_done = true;
             state.by_key.insert(key, slot_idx);
             state.slots.push(slot);
-            self.submitted.fetch_add(1, Ordering::Relaxed);
-            self.completed.fetch_add(1, Ordering::Relaxed);
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
+            state.counters.submitted += 1;
+            state.counters.completed += 1;
+            state.counters.cache_hits += 1;
             if let Some(id) = tenant {
                 let stats = state.tenant_stats.entry(id.to_string()).or_default();
                 stats.submitted += 1;
@@ -682,7 +666,7 @@ impl<'a> JobQueue<'a> {
 
     /// Count one rejection, globally and against the tenant.
     fn note_rejected(&self, state: &mut QueueState, tenant: Option<&str>) {
-        self.rejected_full.fetch_add(1, Ordering::Relaxed);
+        state.counters.rejected_full += 1;
         if let Some(id) = tenant {
             state
                 .tenant_stats
@@ -730,9 +714,9 @@ impl<'a> JobQueue<'a> {
         id: String,
         key: u64,
     ) -> Submitted {
-        self.submitted.fetch_add(1, Ordering::Relaxed);
+        state.counters.submitted += 1;
         if disposition == Disposition::CacheHit {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
+            state.counters.cache_hits += 1;
         }
         if let Some(tid) = tenant {
             state
@@ -803,7 +787,10 @@ impl<'a> JobQueue<'a> {
         state.slots.push(slot);
         let weight = self.tenant_weight(tenant);
         state.sched.push(tenant, weight, slot_idx);
-        self.submitted.fetch_add(1, Ordering::Relaxed);
+        state.counters.submitted += 1;
+        if recovered {
+            state.counters.recovered += 1;
+        }
         if let Some(tid) = tenant {
             state
                 .tenant_stats
@@ -861,8 +848,8 @@ impl<'a> JobQueue<'a> {
         slot.events_done = true;
         let key = slot.key;
         let tenant = slot.tenant.clone();
-        self.cancelled.fetch_add(1, Ordering::Relaxed);
-        self.completed.fetch_add(1, Ordering::Relaxed);
+        state.counters.cancelled += 1;
+        state.counters.completed += 1;
         if let Some(tid) = tenant {
             state.tenant_stats.entry(tid).or_default().completed += 1;
         }
@@ -1074,8 +1061,7 @@ impl<'a> JobQueue<'a> {
         for slot_idx in picked {
             state.sched.rotate_to_back(slot_idx);
         }
-        self.donated
-            .fetch_add(specs.len() as u64, Ordering::Relaxed);
+        state.counters.donated += specs.len() as u64;
         specs
     }
 
@@ -1084,17 +1070,11 @@ impl<'a> JobQueue<'a> {
         self.active.load(Ordering::Relaxed)
     }
 
+    /// A copy of the counters taken under the state lock, so a job
+    /// counts as completed, with its solver work, exactly when its slot
+    /// reads `Done`.
     pub fn counters(&self) -> QueueCounters {
-        QueueCounters {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cancelled: self.cancelled.load(Ordering::Relaxed),
-            rejected_full: self.rejected_full.load(Ordering::Relaxed),
-            donated: self.donated.load(Ordering::Relaxed),
-            recovered: self.recovered.load(Ordering::Relaxed),
-            solver: self.state.lock().expect("queue state").solver,
-        }
+        self.state.lock().expect("queue state").counters
     }
 
     /// Per-tenant accounting snapshot, sorted by tenant id. Registered
@@ -1263,17 +1243,10 @@ impl<'a> JobQueue<'a> {
         let outcome = run_job(self.registry, &spec, 0, self.store, opts, cancel);
 
         let cache_hit = outcome.cache_hit;
-        if cache_hit {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-        }
         let was_cancelled = outcome
             .finish
             .as_ref()
             .is_some_and(|f| f.reason == FinishReason::Cancelled);
-        if was_cancelled {
-            self.cancelled.fetch_add(1, Ordering::Relaxed);
-        }
-        self.completed.fetch_add(1, Ordering::Relaxed);
         // Journal the terminal transition before publishing the outcome.
         // (Crash in the gap either way is safe: the job replays as live,
         // re-runs, and lands on the committed store entry — a cache hit
@@ -1289,7 +1262,11 @@ impl<'a> JobQueue<'a> {
         }
 
         let mut state = self.state.lock().expect("queue state");
-        state.solver = state.solver.plus(&outcome.solver);
+        let counters = &mut state.counters;
+        counters.completed += 1;
+        counters.cache_hits += u64::from(cache_hit);
+        counters.cancelled += u64::from(was_cancelled);
+        counters.solver = counters.solver.plus(&outcome.solver);
         let slot = &mut state.slots[slot_idx];
         slot.state = SlotState::Done(Box::new(outcome));
         slot.events_done = true;

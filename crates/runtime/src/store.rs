@@ -81,14 +81,6 @@ pub struct GcReport {
     pub bank_bytes_reclaimed: u64,
 }
 
-impl GcReport {
-    /// Merge a bank sweep's counts into this report.
-    pub fn absorb_bank(&mut self, swept: crate::bank::BankSweep) {
-        self.bank_entries_removed += swept.entries_removed;
-        self.bank_bytes_reclaimed += swept.bytes_reclaimed;
-    }
-}
-
 /// Temp files younger than this survive [`ResultStore::gc`] — they may
 /// belong to a writer that is mid-publish right now. Anything older is
 /// necessarily stranded: a healthy publish holds its temp file for

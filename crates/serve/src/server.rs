@@ -43,7 +43,7 @@ use crate::router::Route;
 /// explicit numbers.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Bind address; port 0 picks an ephemeral port (tests, benches).
+    /// Bind address; port 0 picks an ephemeral port (tests, perfbench).
     pub addr: String,
     /// Session workers draining the job queue (0 = auto: available
     /// parallelism capped at 8).
@@ -684,21 +684,13 @@ fn handle_tune(
         );
     }
 
-    let mut opts = if req.quick {
-        TuneOptions::quick()
-    } else {
-        TuneOptions::default()
-    };
-    if let Some(g) = req.generations {
-        opts.generations = g.clamp(1, 256);
-    }
-    if let Some(p) = req.population {
-        opts.population = p.clamp(2, 256);
-    }
-    if let Some(s) = req.seed {
-        opts.seed = s;
-    }
-    opts.workers = req.workers.unwrap_or(1).clamp(1, 8);
+    let opts = TuneOptions::resolve(
+        req.quick,
+        req.generations,
+        req.population,
+        req.seed,
+        req.workers,
+    );
 
     // Only this domain's records are copied out of the shared index;
     // `tune_with` ignores every other domain's anyway.

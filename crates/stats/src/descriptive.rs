@@ -17,11 +17,6 @@ pub fn variance(xs: &[f64]) -> f64 {
     xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64
 }
 
-/// Sample standard deviation.
-pub fn std_dev(xs: &[f64]) -> f64 {
-    variance(xs).sqrt()
-}
-
 /// Median (linear-interpolated); 0 for an empty slice.
 pub fn median(xs: &[f64]) -> f64 {
     quantile(xs, 0.5)

@@ -82,6 +82,38 @@ impl TuneOptions {
             ..Default::default()
         }
     }
+
+    /// The options of one tune request, as `runner tune` and
+    /// `POST /v1/tune` both resolve them: the preset ([`quick`] or the
+    /// default), then each given override clamped to the served bounds —
+    /// generations 1–256, population 2–256, workers 1–8 (1 when absent).
+    /// Workers change wall-clock only, never a byte of the report.
+    ///
+    /// [`quick`]: TuneOptions::quick
+    pub fn resolve(
+        quick: bool,
+        generations: Option<usize>,
+        population: Option<usize>,
+        seed: Option<u64>,
+        workers: Option<usize>,
+    ) -> Self {
+        let mut opts = if quick {
+            TuneOptions::quick()
+        } else {
+            TuneOptions::default()
+        };
+        if let Some(g) = generations {
+            opts.generations = g.clamp(1, 256);
+        }
+        if let Some(p) = population {
+            opts.population = p.clamp(2, 256);
+        }
+        if let Some(s) = seed {
+            opts.seed = s;
+        }
+        opts.workers = workers.unwrap_or(1).clamp(1, 8);
+        opts
+    }
 }
 
 /// One scored parameter vector.
@@ -412,4 +444,31 @@ pub fn report_line(report: &TuneReport) -> String {
         "{{\"report\":{}}}",
         serde_json::to_string(report).unwrap_or_default()
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn resolve_picks_the_preset() {
+        let resolved = |quick| format!("{:?}", TuneOptions::resolve(quick, None, None, None, None));
+        assert_eq!(resolved(false), format!("{:?}", TuneOptions::default()));
+        assert_eq!(resolved(true), format!("{:?}", TuneOptions::quick()));
+    }
+
+    #[test]
+    fn resolve_clamps_each_override() {
+        let generations =
+            [0, 5, 1000].map(|g| TuneOptions::resolve(false, Some(g), None, None, None));
+        assert_eq!(generations.map(|o| o.generations), [1, 5, 256]);
+        let population =
+            [0, 1, 9, 1000].map(|p| TuneOptions::resolve(true, None, Some(p), None, None));
+        assert_eq!(population.map(|o| o.population), [2, 2, 9, 256]);
+        let workers = [None, Some(0), Some(3), Some(64)]
+            .map(|w| TuneOptions::resolve(false, None, None, None, w));
+        assert_eq!(workers.map(|o| o.workers), [1, 1, 3, 8]);
+        let seeded = TuneOptions::resolve(true, None, None, Some(7), None);
+        assert_eq!(seeded.seed, 7);
+    }
 }
