@@ -6,6 +6,7 @@
 //! significance checking, explanation) is agnostic to how adversarial
 //! inputs are found — exactly the role MetaOpt plays in the paper's Fig. 3.
 
+use std::sync::Arc;
 use xplain_domains::sched::{lpt_capped, SchedInstance};
 use xplain_domains::te::{DemandPinning, TeLexSolverStack, TeProblem};
 use xplain_domains::vbp::{first_fit_deferred, optimal, VbpInstance};
@@ -66,20 +67,31 @@ impl<T: GapOracle + ?Sized> GapOracle for &T {
 /// the stage LPs are standardized once and every evaluation re-solves
 /// them through rhs deltas — no per-evaluation model build. Solvers live
 /// in a [`TeLexSolverStack`], so the explainer's sample threads each
-/// hold one for the duration of an evaluation. Each evaluation starts
-/// warm from the solver's anchor basis (the box centre's), so a gap is
-/// a function of (problem, point) alone: a fresh oracle, a long-lived
-/// one and the one-shot [`DemandPinning::gap`] agree bit for bit.
+/// hold one for the duration of an evaluation. The stack depends on the
+/// problem alone, never on the threshold, so oracles for one problem
+/// can share one ([`DpOracle::sharing`]: a domain's oracles, mapper and
+/// tune candidates solve the anchor once between them). Each evaluation
+/// starts warm from the solver's anchor basis (the box centre's), so a
+/// gap is a function of (problem, point) alone: a fresh oracle, a
+/// long-lived one, one on a shared stack and the one-shot
+/// [`DemandPinning::gap`] agree bit for bit.
 pub struct DpOracle {
     pub problem: TeProblem,
     pub heuristic: DemandPinning,
-    solvers: TeLexSolverStack,
+    solvers: Arc<TeLexSolverStack>,
 }
 
 impl DpOracle {
+    /// An oracle with a stack of its own (two anchor solves).
     pub fn new(problem: TeProblem, threshold: f64) -> Self {
         let solvers = TeLexSolverStack::new(&problem)
             .expect("max-flow LP of a validated TeProblem is well-formed");
+        DpOracle::sharing(problem, threshold, Arc::new(solvers))
+    }
+
+    /// An oracle on an existing stack, which must have been built for
+    /// `problem`. Solves nothing.
+    pub fn sharing(problem: TeProblem, threshold: f64, solvers: Arc<TeLexSolverStack>) -> Self {
         DpOracle {
             problem,
             heuristic: DemandPinning::new(threshold),

@@ -4,7 +4,9 @@
 use crate::te::paths::{k_shortest_paths, Path};
 use crate::te::topology::Topology;
 use serde::{Deserialize, Serialize};
-use std::sync::{Mutex, MutexGuard};
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, TryLockError, Weak};
 use xplain_lp::{Cmp, LinExpr, LpError, Model, Prepared, Sense, SolverSession, VarType, WarmBasis};
 
 /// A demand endpoint pair (amounts are supplied separately — they are the
@@ -438,22 +440,51 @@ impl TeLexSolver {
     }
 }
 
-/// A thread-safe checkout stack of [`TeLexSolver`]s for one problem.
+/// A thread-safe, thread-affine checkout stack of [`TeLexSolver`]s for
+/// one problem.
 ///
 /// Callers that fan evaluations across threads (the gap oracle, the
-/// explainer's DSL mapper) pop a solver, use it, and push it back: the
-/// lock is held only to pop and push, and the stack grows to the peak
-/// number of concurrent callers. Those callers start every solve from
-/// the anchor ([`TeLexSolver::restore_anchor`]), so which solver a
-/// thread draws does not change what it computes. The stack solves the
-/// anchor once, for its first solver; a solver it grows by starts from
-/// copies of those anchors and solves nothing, so a caller's solver work
-/// does not depend on how many of its threads overlapped. A poisoned
-/// stack (a panicked sibling thread) still holds valid solvers, so it
-/// is used as is.
+/// explainer's DSL mapper, parallel tune candidates) check a solver
+/// out, use it, and return it. Checkout is thread-affine: a thread
+/// first tries the solver it used last, through a thread-local note
+/// and that solver's own lock, so a stack shared by several oracles
+/// and threads neither contends on one lock nor swaps solvers, and
+/// their buffers, between cores on every evaluation. Only when that
+/// solver is busy (or on a thread's first call) does a caller take the
+/// stack's lock to look for a free solver, and it builds a new one only
+/// when it finds every solver in flight, so the stack grows with the
+/// number of concurrent callers, not with the number of threads that
+/// ever called. Callers start every solve from the anchor
+/// ([`TeLexSolver::restore_anchor`]), so which solver a thread draws
+/// does not change what it computes. The stack solves the anchor once,
+/// for its first solver; a solver it grows by starts from copies of
+/// those anchors and solves nothing, so a caller's solver work does not
+/// depend on how many of its threads overlapped. A poisoned lock (a
+/// panicked sibling thread) still guards a valid solver, since every
+/// evaluation restores the anchor first, so it is used as is.
 pub struct TeLexSolverStack {
-    solvers: Mutex<Vec<TeLexSolver>>,
+    /// Process-unique: keys the thread-local notes of last-used solvers.
+    id: u64,
+    solvers: Mutex<Vec<Arc<Mutex<TeLexSolver>>>>,
     anchors: [Option<WarmBasis>; 2],
+}
+
+static NEXT_STACK_ID: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// Per stack id, the solver this thread last checked out. A note
+    /// whose stack is gone no longer upgrades and is pruned.
+    static LAST_USED: RefCell<Vec<(u64, Weak<Mutex<TeLexSolver>>)>> =
+        const { RefCell::new(Vec::new()) };
+}
+
+/// `solver`'s guard if no other caller holds it.
+fn try_take(solver: &Mutex<TeLexSolver>) -> Option<MutexGuard<'_, TeLexSolver>> {
+    match solver.try_lock() {
+        Ok(guard) => Some(guard),
+        Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
+        Err(TryLockError::WouldBlock) => None,
+    }
 }
 
 impl TeLexSolverStack {
@@ -461,18 +492,43 @@ impl TeLexSolverStack {
     pub fn new(problem: &TeProblem) -> Result<Self, LpError> {
         let solver = problem.lex_solver()?;
         Ok(TeLexSolverStack {
+            id: NEXT_STACK_ID.fetch_add(1, Ordering::Relaxed),
             anchors: solver.anchors.clone(),
-            solvers: Mutex::new(vec![solver]),
+            solvers: Mutex::new(vec![Arc::new(Mutex::new(solver))]),
         })
     }
 
-    fn lock(&self) -> MutexGuard<'_, Vec<TeLexSolver>> {
+    fn lock(&self) -> MutexGuard<'_, Vec<Arc<Mutex<TeLexSolver>>>> {
         self.solvers
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
-    /// Run `f` on a checked-out solver, building one only when every
+    /// How many solvers the stack owns, free or checked out.
+    pub fn solvers(&self) -> usize {
+        self.lock().len()
+    }
+
+    /// The solver this thread last checked out of this stack, if any.
+    fn last_used(&self) -> Option<Arc<Mutex<TeLexSolver>>> {
+        LAST_USED.with(|notes| {
+            let notes = notes.borrow();
+            let (_, solver) = notes.iter().find(|(id, _)| *id == self.id)?;
+            solver.upgrade()
+        })
+    }
+
+    /// Note `solver` as this thread's last checkout of this stack.
+    fn note_used(&self, solver: &Arc<Mutex<TeLexSolver>>) {
+        LAST_USED.with(|notes| {
+            let mut notes = notes.borrow_mut();
+            notes.retain(|(id, note)| *id != self.id && note.strong_count() > 0);
+            notes.push((self.id, Arc::downgrade(solver)));
+        });
+    }
+
+    /// Run `f` on a checked-out solver: the one this thread used last if
+    /// it is free, else any free one, and a new one only when every
     /// solver is in flight on another thread. `problem` must be the one
     /// the stack was built for.
     pub fn with<T>(
@@ -480,14 +536,24 @@ impl TeLexSolverStack {
         problem: &TeProblem,
         f: impl FnOnce(&mut TeLexSolver) -> T,
     ) -> Result<T, LpError> {
-        let checked_out = self.lock().pop();
-        let mut solver = match checked_out {
-            Some(solver) => solver,
-            None => problem.lex_solver_at(self.anchors.clone())?,
-        };
-        let out = f(&mut solver);
-        self.lock().push(solver);
-        Ok(out)
+        if let Some(solver) = self.last_used() {
+            if let Some(mut guard) = try_take(&solver) {
+                return Ok(f(&mut guard));
+            }
+        }
+        let owned = self.lock().clone();
+        for solver in owned {
+            if let Some(mut guard) = try_take(&solver) {
+                self.note_used(&solver);
+                return Ok(f(&mut guard));
+            }
+        }
+        let grown = Arc::new(Mutex::new(problem.lex_solver_at(self.anchors.clone())?));
+        // Taken before any other thread can see it.
+        let mut guard = try_take(&grown).expect("a solver no other thread has seen is free");
+        self.lock().push(grown.clone());
+        self.note_used(&grown);
+        Ok(f(&mut guard))
     }
 }
 
@@ -623,6 +689,51 @@ mod tests {
             a.flows.iter().flatten().map(|f| f.to_bits()).collect()
         };
         assert_eq!(bits(&grown), bits(&first));
+    }
+
+    /// Checkout is thread-affine: a thread gets back the solver it last
+    /// returned, even when another thread returned one after it.
+    #[test]
+    fn a_thread_gets_its_own_solver_back() {
+        use std::sync::Barrier;
+        let p = TeProblem::fig1a();
+        let stack = TeLexSolverStack::new(&p).unwrap();
+        let address = |solver: &mut TeLexSolver| solver as *const TeLexSolver as usize;
+        // Both hold a solver at once; `a` returns first, then `b`; `a`
+        // checks out again before `b` does.
+        let [both_in, a_returned, b_returned, a_again] = [(); 4].map(|_| Barrier::new(2));
+        let (a, b) = std::thread::scope(|scope| {
+            let a = scope.spawn(|| {
+                let first = stack.with(&p, |solver| {
+                    both_in.wait();
+                    address(solver)
+                });
+                a_returned.wait();
+                b_returned.wait();
+                let again = stack.with(&p, address);
+                a_again.wait();
+                (first.unwrap(), again.unwrap())
+            });
+            let b = scope.spawn(|| {
+                let first = stack.with(&p, |solver| {
+                    both_in.wait();
+                    a_returned.wait();
+                    address(solver)
+                });
+                b_returned.wait();
+                a_again.wait();
+                let again = stack.with(&p, address);
+                (first.unwrap(), again.unwrap())
+            });
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_ne!(a.0, b.0, "two callers at once hold two solvers");
+        assert_eq!(
+            a.0, a.1,
+            "the thread that returned first got another solver"
+        );
+        assert_eq!(b.0, b.1, "the thread that returned last got another solver");
+        assert_eq!(stack.solvers(), 2);
     }
 
     #[test]

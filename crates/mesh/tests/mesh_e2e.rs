@@ -524,6 +524,9 @@ fn start_inproc_shard(
     pace_ms: u64,
     mesh: Option<Arc<MeshStatus>>,
 ) -> (ServerHandle, std::thread::JoinHandle<()>) {
+    // Build the registry before the listener exists, so no request
+    // reaches the shard while it is still starting up.
+    let registry = DomainRegistry::builtin();
     let server = Server::bind(ServerConfig {
         addr: "127.0.0.1:0".into(),
         queue_workers: 1,
@@ -539,10 +542,7 @@ fn start_inproc_shard(
     })
     .expect("ephemeral bind");
     let handle = server.handle();
-    let join = std::thread::spawn(move || {
-        let registry = DomainRegistry::builtin();
-        server.run(&registry).expect("server runs");
-    });
+    let join = std::thread::spawn(move || server.run(&registry).expect("server runs"));
     (handle, join)
 }
 

@@ -8,6 +8,7 @@
 use crate::domain::{Domain, ParamDescriptor, ParamSpace};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use xplain_analyzer::oracle::{DpOracle, GapOracle};
 use xplain_analyzer::search::dp_seeds;
 use xplain_core::explainer::DslMapper;
@@ -33,23 +34,30 @@ use xplain_flownet::FlowNet;
 /// an evaluation drew, and every solve is warm. It is byte-identical to
 /// the one-shot `DemandPinning::solve` / `TeProblem::optimal`, which
 /// start from the same anchor (pinned by the history-independence tests
-/// below and the replay suite).
+/// below and the replay suite). [`DpDomain::mapper`] hands out mappers
+/// on the domain's own stack, shared with its oracles.
 pub struct DpDslMapper {
     pub problem: TeProblem,
     pub heuristic: DemandPinning,
     pub dsl: TeDsl,
-    solvers: TeLexSolverStack,
+    solvers: Arc<TeLexSolverStack>,
 }
 
 impl DpDslMapper {
+    /// A mapper with a stack of its own (two anchor solves).
     pub fn new(problem: TeProblem, threshold: f64) -> Self {
-        let dsl = TeDsl::build(&problem);
         let solvers = TeLexSolverStack::new(&problem)
             .expect("max-flow LP of a validated TeProblem is well-formed");
+        DpDslMapper::sharing(problem, threshold, Arc::new(solvers))
+    }
+
+    /// A mapper on an existing stack, which must have been built for
+    /// `problem`. Solves nothing.
+    pub fn sharing(problem: TeProblem, threshold: f64, solvers: Arc<TeLexSolverStack>) -> Self {
         DpDslMapper {
             heuristic: DemandPinning::new(threshold),
+            dsl: TeDsl::build(&problem),
             problem,
-            dsl,
             solvers,
         }
     }
@@ -177,16 +185,28 @@ pub fn generate_dp_instances(family: &DpFamily, rng: &mut impl Rng) -> Vec<DpIns
 
 /// The TE / Demand Pinning domain: a registry entry around one concrete
 /// [`TeProblem`] and pinning threshold.
+///
+/// The domain builds one [`TeLexSolverStack`] for its problem when it is
+/// constructed, so the problem's anchor is solved once per domain. Its
+/// oracles, mappers and tuned oracles all share that stack: none of
+/// them solves anything when built, and a job's or a tune's solver work
+/// is its evaluations alone. The threshold is per oracle; the stack
+/// depends on the problem alone, which is why the problem is read-only.
 pub struct DpDomain {
-    pub problem: TeProblem,
+    problem: TeProblem,
+    solvers: Arc<TeLexSolverStack>,
     pub threshold: f64,
     pub family: DpFamily,
 }
 
 impl DpDomain {
+    /// The domain over `problem` (two anchor solves, on this thread).
     pub fn new(problem: TeProblem, threshold: f64) -> Self {
+        let solvers = TeLexSolverStack::new(&problem)
+            .expect("max-flow LP of a validated TeProblem is well-formed");
         DpDomain {
             problem,
+            solvers: Arc::new(solvers),
             threshold,
             family: DpFamily::default(),
         }
@@ -195,6 +215,16 @@ impl DpDomain {
     /// The paper's Fig. 1a instance at threshold 50.
     pub fn fig1a() -> Self {
         DpDomain::new(TeProblem::fig1a(), 50.0)
+    }
+
+    /// The TE problem every oracle and mapper of this domain solves.
+    pub fn problem(&self) -> &TeProblem {
+        &self.problem
+    }
+
+    /// An oracle on the domain's stack with the given threshold.
+    fn oracle_at(&self, threshold: f64) -> DpOracle {
+        DpOracle::sharing(self.problem.clone(), threshold, self.solvers.clone())
     }
 }
 
@@ -212,13 +242,14 @@ impl Domain for DpDomain {
     }
 
     fn oracle(&self) -> Box<dyn GapOracle> {
-        Box::new(DpOracle::new(self.problem.clone(), self.threshold))
+        Box::new(self.oracle_at(self.threshold))
     }
 
     fn mapper(&self) -> Option<Box<dyn DslMapper>> {
-        Some(Box::new(DpDslMapper::new(
+        Some(Box::new(DpDslMapper::sharing(
             self.problem.clone(),
             self.threshold,
+            self.solvers.clone(),
         )))
     }
 
@@ -253,7 +284,7 @@ impl Domain for DpDomain {
 
     fn tuned_oracle(&self, params: &[f64]) -> Option<Box<dyn GapOracle>> {
         let &[threshold] = params else { return None };
-        Some(Box::new(DpOracle::new(self.problem.clone(), threshold)))
+        Some(Box::new(self.oracle_at(threshold)))
     }
 }
 
@@ -411,6 +442,62 @@ mod tests {
                 });
             }
         });
+    }
+
+    /// One domain's oracles and mappers share its stack under
+    /// concurrency: three threads evaluating the same 300 seeded fig1a
+    /// points through `oracle()` and `mapper()` at once get, bit for
+    /// bit, what a fresh `DpOracle::new` / `DpDslMapper::new` computes,
+    /// and the stack never owns more solvers than the peak number of
+    /// concurrent callers.
+    #[test]
+    fn dp_domain_oracles_and_mappers_share_one_stack() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Barrier;
+        let domain = DpDomain::fig1a();
+        let mut rng = StdRng::seed_from_u64(24);
+        let points: Vec<Vec<f64>> = (0..300)
+            .map(|_| (0..3).map(|_| rng.gen_range(0.0..=100.0)).collect())
+            .collect();
+        let oracle = DpOracle::new(TeProblem::fig1a(), 50.0);
+        let mapper = DpDslMapper::new(TeProblem::fig1a(), 50.0);
+        let evaluate = |oracle: &dyn GapOracle, mapper: &dyn DslMapper, x: &[f64]| {
+            let mut values = vec![oracle.gap(x)];
+            values.extend(mapper.heuristic_flows(x).unwrap());
+            values.extend(mapper.benchmark_flows(x).unwrap());
+            values
+        };
+        let expected: Vec<Vec<f64>> = points
+            .iter()
+            .map(|x| evaluate(&oracle, &mapper, x))
+            .collect();
+        let in_flight = AtomicUsize::new(0);
+        let peak = AtomicUsize::new(0);
+        let start = Barrier::new(3);
+        std::thread::scope(|scope| {
+            for tid in 0..3 {
+                let (domain, points, expected) = (&domain, &points, &expected);
+                let (in_flight, peak, start, evaluate) = (&in_flight, &peak, &start, &evaluate);
+                scope.spawn(move || {
+                    let oracle = domain.oracle();
+                    let mapper = domain.mapper().unwrap();
+                    start.wait();
+                    for k in 0..points.len() {
+                        let ix = (k + 100 * tid) % points.len();
+                        let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+                        peak.fetch_max(now, Ordering::SeqCst);
+                        let got = evaluate(oracle.as_ref(), mapper.as_ref(), &points[ix]);
+                        in_flight.fetch_sub(1, Ordering::SeqCst);
+                        assert_bits(&got, &expected[ix], "shared stack");
+                    }
+                });
+            }
+        });
+        let (owned, peak) = (domain.solvers.solvers(), peak.into_inner());
+        assert!(
+            owned <= peak,
+            "{owned} solvers for {peak} concurrent callers"
+        );
     }
 
     /// Two runs of a two-thread explainer over one mapper serialize to

@@ -6,7 +6,10 @@
 use proptest::prelude::*;
 use xplain_core::pipeline::PipelineConfig;
 use xplain_core::{ExplainerParams, SignificanceParams};
-use xplain_runtime::{run_manifest, DomainRegistry, JobOutcome, JobSpec, ResultStore};
+use xplain_runtime::{
+    build_session, run_manifest, CancelToken, DomainRegistry, JobOutcome, JobSpec, ResultStore,
+    SessionBudgets, SolverCounters,
+};
 
 /// Small-but-real config so each property case stays fast.
 fn tiny_config(pairs: usize, samples: usize, coverage: usize) -> PipelineConfig {
@@ -176,4 +179,45 @@ fn dp_solver_counts_do_not_depend_on_the_jobs_beside_it() {
         );
         assert_eq!(results_json(&beside[..1]), results_json(&alone));
     }
+}
+
+/// A dp job's `JobOutcome::solver` is all the solver work the job does:
+/// the domain solved its problem's anchor when the registry was built,
+/// so building a session (two oracles, the mapper and the feature
+/// schema's oracle) solves nothing, and the counts around the whole job
+/// equal the counts it reports.
+#[test]
+fn a_dp_job_reports_all_of_its_solver_work() {
+    let registry = DomainRegistry::builtin();
+    let domain = registry.get("dp").expect("registered");
+    let config = tiny_config(30, 60, 100);
+
+    let before = SolverCounters::snapshot();
+    let mut session = build_session(
+        domain,
+        &config,
+        SessionBudgets::unlimited(),
+        CancelToken::new(),
+        None,
+    )
+    .expect("dp session builds");
+    let built = SolverCounters::snapshot().since(&before);
+    assert_eq!(
+        built,
+        SolverCounters::default(),
+        "building solved: {built:?}"
+    );
+    let result = session.drain();
+    assert!(result.solver.lp_solves > 0, "{:?}", result.solver);
+    assert_eq!(SolverCounters::snapshot().since(&before), result.solver);
+
+    let job = JobSpec {
+        domain: "dp".into(),
+        config,
+        seed: 5,
+        budgets: Default::default(),
+    };
+    let before = SolverCounters::snapshot();
+    let outcome = run_manifest(&registry, &[job], None, 1);
+    assert_eq!(SolverCounters::snapshot().since(&before), outcome[0].solver);
 }

@@ -5,8 +5,8 @@
 
 use xplain_core::pipeline::{SubspaceFinding, Witness};
 use xplain_core::subspace::Subspace;
-use xplain_runtime::DomainRegistry;
-use xplain_tune::{generation_line, report_line, tune_with, BankRecord, TuneOptions};
+use xplain_runtime::{DomainRegistry, SolverCounters};
+use xplain_tune::{generation_line, report_line, tune, tune_with, BankRecord, TuneOptions};
 
 /// Synthetic bank records for every builtin domain: the oracle-box
 /// midpoint plus a corner-ish point, each wrapped in a witnessed
@@ -112,5 +112,26 @@ fn all_builtin_domains_are_tunable() {
             (a - b).abs() < 1e-12 || (a.is_nan() && b.is_nan()),
             "domain '{id}': default tuned oracle diverges from shipped oracle ({a} vs {b})"
         );
+    }
+}
+
+/// A dp tune's candidates share the domain's solver stack, whose anchor
+/// was solved when the registry was built: however many tuned oracles a
+/// tune builds, on one worker or several, none of its solves is cold.
+#[test]
+fn a_dp_tune_makes_no_cold_start() {
+    let registry = DomainRegistry::builtin();
+    let records = synthetic_records(&registry);
+    let domain = registry.get("dp").expect("registered");
+    for workers in [1, 4] {
+        let opts = TuneOptions {
+            workers,
+            ..TuneOptions::quick()
+        };
+        let before = SolverCounters::snapshot();
+        tune(domain, &records, &opts).expect("tune runs");
+        let work = SolverCounters::snapshot().since(&before);
+        assert!(work.lp_solves > 0, "{workers} workers: {work:?}");
+        assert_eq!(work.lp_cold_starts, 0, "{workers} workers: {work:?}");
     }
 }
