@@ -7,9 +7,9 @@
 //! inputs are found — exactly the role MetaOpt plays in the paper's Fig. 3.
 
 use std::sync::Arc;
-use xplain_domains::sched::{lpt_capped, SchedInstance};
+use xplain_domains::sched::{lpt_capped_makespan, optimal_makespan};
 use xplain_domains::te::{DemandPinning, TeLexSolverStack, TeProblem};
-use xplain_domains::vbp::{first_fit_deferred, optimal, VbpInstance};
+use xplain_domains::vbp::{first_fit_deferred_bins, optimal_bins};
 
 /// A heuristic-vs-benchmark gap function over a box input space.
 ///
@@ -127,7 +127,10 @@ impl GapOracle for DpOracle {
 }
 
 /// First-fit bin packing gap oracle: input = ball sizes, gap = FF bins −
-/// OPT bins (integer-valued).
+/// OPT bins (integer-valued). The point itself is the balls' flat layout,
+/// so a gap builds no instance: both counts run in the calling thread's
+/// packing scratch and, once the thread has packed this many balls,
+/// allocate nothing.
 pub struct FfOracle {
     pub n_balls: usize,
     pub bin_capacity: f64,
@@ -167,12 +170,9 @@ impl GapOracle for FfOracle {
         {
             return f64::NEG_INFINITY;
         }
-        let inst = VbpInstance {
-            bin_capacity: vec![self.bin_capacity],
-            balls: x.iter().map(|&s| vec![s]).collect(),
-        };
-        let ff = first_fit_deferred(&inst, self.defer_below).bins_used as f64;
-        let opt = optimal(&inst).bins_used as f64;
+        let capacity = [self.bin_capacity];
+        let ff = first_fit_deferred_bins(&capacity, x, self.defer_below) as f64;
+        let opt = optimal_bins(&capacity, x) as f64;
         ff - opt
     }
 
@@ -182,7 +182,9 @@ impl GapOracle for FfOracle {
 }
 
 /// Makespan-scheduling gap oracle: input = job processing times, gap =
-/// LPT makespan − optimal makespan.
+/// LPT makespan − optimal makespan. Both makespans run on the point in
+/// the calling thread's scheduling scratch and, once the thread has
+/// scheduled this many jobs, allocate nothing.
 pub struct SchedOracle {
     pub n_jobs: usize,
     pub n_machines: usize,
@@ -224,9 +226,8 @@ impl GapOracle for SchedOracle {
         {
             return f64::NEG_INFINITY;
         }
-        let inst = SchedInstance::new(self.n_machines, x.to_vec());
-        let h = lpt_capped(&inst, self.cap_factor).makespan;
-        let b = xplain_domains::sched::optimal(&inst).makespan;
+        let h = lpt_capped_makespan(self.n_machines, x, self.cap_factor);
+        let b = optimal_makespan(self.n_machines, x);
         h - b
     }
 
@@ -282,6 +283,86 @@ mod tests {
             history_mismatches(TeProblem::fig4a()),
         );
         assert_eq!(mismatches, (0, 0), "(fig1a, fig4a) points of 300");
+    }
+
+    /// Packing and scheduling oracles of several sizes and parameters.
+    fn packing_and_scheduling_oracles() -> Vec<Box<dyn GapOracle>> {
+        vec![
+            Box::new(FfOracle::new(4)),
+            Box::new(FfOracle::new(12)),
+            Box::new(FfOracle {
+                defer_below: 0.3,
+                ..FfOracle::new(7)
+            }),
+            Box::new(SchedOracle::new(5, 2)),
+            Box::new(SchedOracle::new(9, 3)),
+            Box::new(SchedOracle {
+                cap_factor: 1.0,
+                ..SchedOracle::new(6, 4)
+            }),
+        ]
+    }
+
+    /// `count` (oracle, point) pairs; a third of the coordinates sit on a
+    /// coarse grid of the box, so ties are common.
+    fn seeded_points(
+        oracles: &[Box<dyn GapOracle>],
+        seed: u64,
+        count: usize,
+    ) -> Vec<(usize, Vec<f64>)> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        (0..count)
+            .map(|_| {
+                let k = rng.gen_range(0..oracles.len());
+                let x = oracles[k]
+                    .bounds()
+                    .iter()
+                    .map(|&(lo, hi)| match rng.gen_range(0..3) {
+                        0 => lo + (hi - lo) * rng.gen_range(0..=4) as f64 / 4.0,
+                        _ => rng.gen_range(lo..=hi),
+                    })
+                    .collect();
+                (k, x)
+            })
+            .collect()
+    }
+
+    /// The ff and sched gaps run in per-thread scratch: a thread whose
+    /// every probe follows four seeded points of other sizes (1,200 in
+    /// all) returns the bits a thread with empty scratch does.
+    #[test]
+    fn ff_and_sched_gaps_do_not_depend_on_scratch_history() {
+        let oracles = packing_and_scheduling_oracles();
+        let probes = seeded_points(&oracles, 1, 300);
+        let gap_bits = |(k, x): &(usize, Vec<f64>)| oracles[*k].gap(x).to_bits();
+        let fresh: Vec<u64> = probes
+            .iter()
+            .map(|probe| std::thread::scope(|s| s.spawn(|| gap_bits(probe)).join().unwrap()))
+            .collect();
+        std::thread::scope(|s| {
+            let warm: Vec<_> = (0..3)
+                .map(|t| {
+                    let (oracles, probes, gap_bits) = (&oracles, &probes, &gap_bits);
+                    s.spawn(move || {
+                        let earlier = seeded_points(oracles, 100 + t, 4 * probes.len());
+                        probes
+                            .iter()
+                            .zip(earlier.chunks(4))
+                            .map(|(probe, earlier)| {
+                                for point in earlier {
+                                    gap_bits(point);
+                                }
+                                gap_bits(probe)
+                            })
+                            .collect::<Vec<u64>>()
+                    })
+                })
+                .collect();
+            for (t, handle) in warm.into_iter().enumerate() {
+                assert_eq!(handle.join().unwrap(), fresh, "warm thread {t}");
+            }
+        });
     }
 
     #[test]

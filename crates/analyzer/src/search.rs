@@ -133,6 +133,7 @@ pub fn find_adversarial(
         );
     }
 
+    let mut cand: Vec<f64> = Vec::with_capacity(dims);
     for start in starts {
         if out_of_budget(total_evals) || stop_requested() {
             break;
@@ -158,6 +159,10 @@ pub fn find_adversarial(
         }
         consider(&x, fx, &mut best);
 
+        // Each candidate differs from `x` in one coordinate: it is built
+        // in `cand`, which equals `x` between evaluations.
+        cand.clear();
+        cand.extend_from_slice(&x);
         let mut step = opts.init_step_frac;
         while step >= opts.min_step_frac && evals < opts.evals_per_restart {
             if out_of_budget(total_evals) || stop_requested() {
@@ -169,21 +174,22 @@ pub fn find_adversarial(
                     if evals >= opts.evals_per_restart || out_of_budget(total_evals) {
                         break;
                     }
-                    let mut cand = x.clone();
-                    cand[d] = (cand[d] + sign * step * ranges[d]).clamp(bounds[d].0, bounds[d].1);
+                    cand[d] = (x[d] + sign * step * ranges[d]).clamp(bounds[d].0, bounds[d].1);
                     if (cand[d] - x[d]).abs() < 1e-15 {
+                        cand[d] = x[d];
                         continue;
                     }
                     let fc = eval(&cand);
                     evals += 1;
                     total_evals += 1;
                     if fc > fx + 1e-12 {
-                        x = cand;
+                        x[d] = cand[d];
                         fx = fc;
                         consider(&x, fx, &mut best);
                         improved = true;
                         break;
                     }
+                    cand[d] = x[d];
                 }
                 if improved {
                     break;

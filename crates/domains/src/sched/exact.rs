@@ -11,8 +11,8 @@
 //!   `x[i][j]`, makespan variable `C`). The tests assert both agree, so
 //!   the cheap route inherits the MILP's exactness guarantee.
 
-use crate::sched::instance::{SchedInstance, Schedule};
-use crate::sched::lpt::lpt;
+use crate::sched::instance::{lower_bound, SchedInstance, Schedule};
+use crate::sched::scratch::SchedScratch;
 use xplain_lp::{milp, Cmp, LinExpr, LpError, Model, Sense, VarId, VarType};
 
 const TOL: f64 = 1e-9;
@@ -20,92 +20,125 @@ const TOL: f64 = 1e-9;
 /// Exact optimum by branch and bound. Suitable for the analysis-scale
 /// instances (n ≲ 20).
 pub fn optimal(inst: &SchedInstance) -> Schedule {
-    let n = inst.num_jobs();
-    if n == 0 {
-        return Schedule::from_assignment(inst, Vec::new());
-    }
+    SchedScratch::schedule(|s| s.optimal(inst.machines, &inst.jobs))
+}
 
-    // Incumbent from LPT; the volume/longest-job bound proves optimality
-    // early on benign instances.
-    let mut best = lpt(inst);
-    let lower = inst.lower_bound();
-    if best.makespan <= lower + TOL {
-        return best;
-    }
+/// The makespan of [`optimal`] for `jobs` on `machines` machines.
+/// Allocates nothing once the calling thread has scheduled an instance
+/// this large.
+pub fn optimal_makespan(machines: usize, jobs: &[f64]) -> f64 {
+    SchedScratch::with(|s| s.optimal(machines, jobs))
+}
 
-    // Jobs in descending order: big jobs fail fast.
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| {
-        inst.jobs[b]
-            .partial_cmp(&inst.jobs[a])
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    });
-    // Suffix sums of remaining work for the volume bound at each depth.
-    let mut suffix = vec![0.0; n + 1];
-    for d in (0..n).rev() {
-        suffix[d] = suffix[d + 1] + inst.jobs[order[d]];
-    }
+impl SchedScratch {
+    fn optimal(&mut self, machines: usize, jobs: &[f64]) -> f64 {
+        let n = jobs.len();
+        if n == 0 {
+            self.assignment.clear();
+            return self.settle(machines, jobs);
+        }
 
-    struct Ctx<'a> {
-        inst: &'a SchedInstance,
-        order: &'a [usize],
-        suffix: &'a [f64],
-        lower: f64,
-        best_makespan: f64,
-        best_assignment: Vec<usize>,
-        assignment: Vec<usize>,
-    }
+        // The search's buffers are sized even when the incumbent proves
+        // optimal, so no later search of this size allocates. Each node
+        // on a root-to-leaf path tries at most every machine.
+        self.suffix.clear();
+        self.suffix.resize(n + 1, 0.0);
+        self.work.clear();
+        self.work.resize(n, 0);
+        self.tried.clear();
+        self.tried.reserve(n * machines);
 
-    fn recurse(ctx: &mut Ctx<'_>, depth: usize, loads: &mut [f64], cur_max: f64) {
-        if cur_max >= ctx.best_makespan - TOL {
+        // Incumbent from LPT; the volume/longest-job bound proves
+        // optimality early on benign instances.
+        let lpt_makespan = self.lpt_capped(machines, jobs, 0.0);
+        let lower = lower_bound(machines, jobs);
+        if lpt_makespan <= lower + TOL {
+            return lpt_makespan;
+        }
+
+        // Jobs in descending order (big jobs fail fast): LPT's order,
+        // which is still in `self.order`.
+        // Suffix sums of remaining work for the volume bound at each depth.
+        for d in (0..n).rev() {
+            self.suffix[d] = self.suffix[d + 1] + jobs[self.order[d]];
+        }
+
+        self.loads.clear();
+        self.loads.resize(machines, 0.0);
+        // LPT's assignment is the best so far; each leaf the search
+        // reaches beats it and overwrites it.
+        let mut search = Search {
+            jobs,
+            order: &self.order,
+            suffix: &self.suffix,
+            lower,
+            best_makespan: lpt_makespan,
+            best: &mut self.assignment,
+            work: &mut self.work,
+            tried: &mut self.tried,
+        };
+        search.branch(0, &mut self.loads, 0.0);
+
+        if search.best_makespan < lpt_makespan - TOL {
+            self.settle(machines, jobs)
+        } else {
+            lpt_makespan
+        }
+    }
+}
+
+struct Search<'a> {
+    jobs: &'a [f64],
+    order: &'a [usize],
+    suffix: &'a [f64],
+    lower: f64,
+    best_makespan: f64,
+    best: &'a mut [usize],
+    work: &'a mut [usize],
+    tried: &'a mut Vec<f64>,
+}
+
+impl Search<'_> {
+    /// Place the jobs from `order[depth]` on, given the machine `loads`
+    /// so far and their largest, `cur_max`.
+    fn branch(&mut self, depth: usize, loads: &mut [f64], cur_max: f64) {
+        if cur_max >= self.best_makespan - TOL {
             return; // cannot improve
         }
-        if depth == ctx.order.len() {
-            ctx.best_makespan = cur_max;
-            ctx.best_assignment = ctx.assignment.clone();
+        if depth == self.order.len() {
+            self.best_makespan = cur_max;
+            self.best.copy_from_slice(self.work);
             return;
         }
         // Volume bound over the remaining work.
-        let total_left: f64 = ctx.suffix[depth] + loads.iter().sum::<f64>();
-        if total_left / loads.len() as f64 >= ctx.best_makespan - TOL {
+        let total_left: f64 = self.suffix[depth] + loads.iter().sum::<f64>();
+        if total_left / loads.len() as f64 >= self.best_makespan - TOL {
             return;
         }
-        let job_ix = ctx.order[depth];
-        let p = ctx.inst.jobs[job_ix];
-        let mut tried = Vec::with_capacity(loads.len());
+        let job_ix = self.order[depth];
+        let p = self.jobs[job_ix];
+        // This node's tried loads sit above `base`; its children pop
+        // theirs before they return.
+        let base = self.tried.len();
         for m in 0..loads.len() {
             // Machines with equal loads are interchangeable: try one.
-            if tried.iter().any(|&l: &f64| (l - loads[m]).abs() < TOL) {
+            if self.tried[base..]
+                .iter()
+                .any(|&l: &f64| (l - loads[m]).abs() < TOL)
+            {
                 continue;
             }
-            tried.push(loads[m]);
+            self.tried.push(loads[m]);
             loads[m] += p;
-            ctx.assignment[job_ix] = m;
-            recurse(ctx, depth + 1, loads, cur_max.max(loads[m]));
+            self.work[job_ix] = m;
+            self.branch(depth + 1, loads, cur_max.max(loads[m]));
             loads[m] -= p;
-            if ctx.best_makespan <= ctx.lower + TOL {
-                return; // proven optimal
+            if self.best_makespan <= self.lower + TOL {
+                break; // proven optimal
             }
         }
+        self.tried.truncate(base);
     }
-
-    let mut ctx = Ctx {
-        inst,
-        order: &order,
-        suffix: &suffix,
-        lower,
-        best_makespan: best.makespan,
-        best_assignment: best.assignment.clone(),
-        assignment: vec![0usize; n],
-    };
-    let mut loads = vec![0.0; inst.machines];
-    recurse(&mut ctx, 0, &mut loads, 0.0);
-
-    if ctx.best_makespan < best.makespan - TOL {
-        best = Schedule::from_assignment(inst, ctx.best_assignment);
-    }
-    best
 }
 
 /// MILP formulation (cross-check for [`optimal`]), built by
@@ -184,6 +217,7 @@ pub fn optimal_milp_stats(inst: &SchedInstance) -> Result<(Schedule, milp::MilpS
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sched::lpt::lpt;
 
     #[test]
     fn two_machine_example_optimum_is_six() {

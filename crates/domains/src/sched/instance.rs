@@ -64,10 +64,31 @@ impl SchedInstance {
     /// Lower bound on the optimal makespan:
     /// `max(total_work / m, max_i p_i)`.
     pub fn lower_bound(&self) -> f64 {
-        let total: f64 = self.jobs.iter().sum();
-        let longest = self.jobs.iter().cloned().fold(0.0, f64::max);
-        (total / self.machines as f64).max(longest)
+        lower_bound(self.machines, &self.jobs)
     }
+}
+
+/// [`SchedInstance::lower_bound`] of `jobs` on `machines` machines.
+pub(crate) fn lower_bound(machines: usize, jobs: &[f64]) -> f64 {
+    let total: f64 = jobs.iter().sum();
+    let longest = jobs.iter().cloned().fold(0.0, f64::max);
+    (total / machines as f64).max(longest)
+}
+
+/// Fill `loads` with the per-machine totals of `assignment`, summed in
+/// job-index order, and return the makespan (the largest of them).
+pub(crate) fn machine_loads(
+    machines: usize,
+    jobs: &[f64],
+    assignment: &[usize],
+    loads: &mut Vec<f64>,
+) -> f64 {
+    loads.clear();
+    loads.resize(machines, 0.0);
+    for (i, &m) in assignment.iter().enumerate() {
+        loads[m] += jobs[i];
+    }
+    loads.iter().cloned().fold(0.0, f64::max)
 }
 
 /// A schedule: machine index per job, plus the derived loads and makespan.
@@ -83,11 +104,8 @@ pub struct Schedule {
 impl Schedule {
     /// Build from an assignment, computing loads and makespan.
     pub fn from_assignment(inst: &SchedInstance, assignment: Vec<usize>) -> Self {
-        let mut loads = vec![0.0; inst.machines];
-        for (i, &m) in assignment.iter().enumerate() {
-            loads[m] += inst.jobs[i];
-        }
-        let makespan = loads.iter().cloned().fold(0.0, f64::max);
+        let mut loads = Vec::new();
+        let makespan = machine_loads(inst.machines, &inst.jobs, &assignment, &mut loads);
         Schedule {
             assignment,
             loads,

@@ -6,21 +6,15 @@
 //! attains it, which is what makes this a worthwhile heuristic to point
 //! XPlain at.
 
-use crate::sched::instance::{SchedInstance, Schedule};
+use crate::sched::instance::{lower_bound, SchedInstance, Schedule};
+use crate::sched::scratch::SchedScratch;
 
 /// Run LPT. Ties in processing time keep input order; ties in machine load
 /// go to the lowest machine index — both choices make the heuristic fully
 /// deterministic, which the runtime's bit-for-bit reproducibility checks
 /// rely on.
 pub fn lpt(inst: &SchedInstance) -> Schedule {
-    let mut order: Vec<usize> = (0..inst.num_jobs()).collect();
-    order.sort_by(|&a, &b| {
-        inst.jobs[b]
-            .partial_cmp(&inst.jobs[a])
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    });
-    list_schedule(inst, &order)
+    lpt_capped(inst, 0.0)
 }
 
 /// LPT with a MULTIFIT-style capacity cap: jobs are taken longest-first
@@ -32,56 +26,67 @@ pub fn lpt(inst: &SchedInstance) -> Schedule {
 /// near 1 bin-packs jobs against the makespan lower bound, which pairs
 /// the long jobs of the Graham-tight family the way the optimum does.
 pub fn lpt_capped(inst: &SchedInstance, cap_factor: f64) -> Schedule {
-    let cap = cap_factor * inst.lower_bound();
-    let mut order: Vec<usize> = (0..inst.num_jobs()).collect();
-    order.sort_by(|&a, &b| {
-        inst.jobs[b]
-            .partial_cmp(&inst.jobs[a])
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    });
-    let mut loads = vec![0.0f64; inst.machines];
-    let mut assignment = vec![0usize; inst.num_jobs()];
-    for &i in &order {
-        let p = inst.jobs[i];
-        // A non-positive factor disables the cap entirely (rather than
-        // letting zero-length jobs sneak under it), so the fallback —
-        // least-loaded, lowest index — handles every job: exactly `lpt`.
-        let capped = if cap_factor > 0.0 {
-            loads.iter().position(|&l| l + p <= cap + 1e-9)
-        } else {
-            None
-        };
-        let target = capped.unwrap_or_else(|| {
-            loads
-                .iter()
-                .enumerate()
-                .min_by(|(_, a), (_, b)| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))
-                .map(|(j, _)| j)
-                .unwrap_or(0)
-        });
-        assignment[i] = target;
-        loads[target] += p;
-    }
-    Schedule::from_assignment(inst, assignment)
+    SchedScratch::schedule(|s| s.lpt_capped(inst.machines, &inst.jobs, cap_factor))
+}
+
+/// The makespan of [`lpt_capped`] for `jobs` on `machines` machines.
+/// Allocates nothing once the calling thread has scheduled an instance
+/// this large.
+pub fn lpt_capped_makespan(machines: usize, jobs: &[f64], cap_factor: f64) -> f64 {
+    SchedScratch::with(|s| s.lpt_capped(machines, jobs, cap_factor))
 }
 
 /// List scheduling in the given job order: each job goes to the machine
 /// with the smallest current load (lowest index on ties).
 pub fn list_schedule(inst: &SchedInstance, order: &[usize]) -> Schedule {
-    let mut loads = vec![0.0f64; inst.machines];
-    let mut assignment = vec![0usize; inst.num_jobs()];
-    for &i in order {
-        let target = loads
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(j, _)| j)
-            .unwrap_or(0);
-        assignment[i] = target;
-        loads[target] += inst.jobs[i];
+    SchedScratch::schedule(|s| {
+        s.order.clear();
+        s.order.extend_from_slice(order);
+        s.place(inst.machines, &inst.jobs, None)
+    })
+}
+
+impl SchedScratch {
+    pub(crate) fn lpt_capped(&mut self, machines: usize, jobs: &[f64], cap_factor: f64) -> f64 {
+        // A non-positive factor disables the cap entirely (rather than
+        // letting zero-length jobs sneak under it), so the fallback —
+        // least-loaded, lowest index — handles every job: exactly `lpt`.
+        let cap = (cap_factor > 0.0).then(|| cap_factor * lower_bound(machines, jobs));
+        self.order_decreasing(jobs);
+        self.place(machines, jobs, cap)
     }
-    Schedule::from_assignment(inst, assignment)
+
+    /// Place the jobs of [`SchedScratch::order`], each on the first
+    /// machine (lowest index) whose load stays within `cap`, or else on
+    /// the least-loaded one (lowest index on ties), and return the
+    /// makespan; [`SchedScratch::assignment`] holds the machines.
+    fn place(&mut self, machines: usize, jobs: &[f64], cap: Option<f64>) -> f64 {
+        let SchedScratch {
+            order,
+            loads,
+            assignment,
+            ..
+        } = self;
+        loads.clear();
+        loads.resize(machines, 0.0);
+        assignment.clear();
+        assignment.resize(jobs.len(), 0);
+        for &i in order.iter() {
+            let p = jobs[i];
+            let capped = cap.and_then(|cap| loads.iter().position(|&l| l + p <= cap + 1e-9));
+            let target = capped.unwrap_or_else(|| {
+                loads
+                    .iter()
+                    .enumerate()
+                    .min_by(|(_, a), (_, b)| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))
+                    .map(|(j, _)| j)
+                    .unwrap_or(0)
+            });
+            assignment[i] = target;
+            loads[target] += p;
+        }
+        self.settle(machines, jobs)
+    }
 }
 
 #[cfg(test)]

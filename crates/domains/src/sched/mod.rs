@@ -17,8 +17,9 @@ pub mod dsl;
 pub mod exact;
 pub mod instance;
 pub mod lpt;
+mod scratch;
 
 pub use dsl::{canonical_machine_slots, SchedDsl};
-pub use exact::{milp_model, optimal, optimal_milp, optimal_milp_stats};
+pub use exact::{milp_model, optimal, optimal_makespan, optimal_milp, optimal_milp_stats};
 pub use instance::{SchedInstance, Schedule};
-pub use lpt::{list_schedule, lpt, lpt_capped};
+pub use lpt::{list_schedule, lpt, lpt_capped, lpt_capped_makespan};

@@ -8,109 +8,127 @@
 //! A MILP formulation via `xplain-lp` is also provided as a cross-check —
 //! the property tests assert both agree.
 
-use crate::vbp::heuristics::first_fit_decreasing;
 use crate::vbp::instance::{Packing, VbpInstance};
+use crate::vbp::scratch::{Balls, PackScratch};
 use xplain_lp::{milp, Cmp, LinExpr, LpError, Model, Sense};
 
 /// Exact optimum by branch and bound. Suitable for the paper-scale
 /// instances (n ≲ 25 in the adversarial analyses).
 pub fn optimal(inst: &VbpInstance) -> Packing {
-    let n = inst.num_balls();
-    if n == 0 {
-        return Packing {
-            assignment: Vec::new(),
-            bins_used: 0,
+    PackScratch::packing(inst, PackScratch::optimal)
+}
+
+/// The bin count of [`optimal`] on balls given flat, as
+/// [`first_fit_deferred_bins`](crate::vbp::first_fit_deferred_bins) takes
+/// them. Allocates nothing once the calling thread has packed an instance
+/// this large.
+pub fn optimal_bins(capacity: &[f64], sizes: &[f64]) -> usize {
+    PackScratch::with(|s| s.optimal(Balls::flat(capacity, sizes)))
+}
+
+impl PackScratch {
+    fn optimal(&mut self, balls: Balls<'_>) -> usize {
+        let n = balls.n;
+        if n == 0 {
+            self.assignment.clear();
+            return 0;
+        }
+
+        // The search's buffers are sized even when the incumbent proves
+        // optimal, so no later search of this size allocates. (FFD
+        // reserves the remaining capacity of one bin per ball.)
+        self.work.clear();
+        self.work.resize(n, usize::MAX);
+
+        // Incumbent from FFD, which also fills the sizes.
+        let ffd_bins = self.first_fit_decreasing(balls);
+        let lower = balls.lower_bound();
+        if ffd_bins == lower {
+            return ffd_bins;
+        }
+
+        // Sort balls by size descending: large balls first fail fast.
+        let size = &self.size;
+        self.order.clear();
+        self.order.extend(0..n);
+        self.order.sort_by(|&a, &b| {
+            size[b]
+                .partial_cmp(&size[a])
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+
+        self.remaining.clear();
+        // The incumbent's assignment is the best so far; each leaf the
+        // search reaches beats it and overwrites it.
+        let mut search = Search {
+            balls,
+            order: &self.order,
+            best_bins: ffd_bins,
+            best: &mut self.assignment,
+            lower,
+            work: &mut self.work,
+            remaining: &mut self.remaining,
         };
+        search.branch(0, 0);
+        search.best_bins
     }
-    let dims = inst.num_dims();
+}
 
-    // Incumbent from FFD.
-    let mut best = first_fit_decreasing(inst);
-    let lower = inst.lower_bound();
-    if best.bins_used == lower {
-        return best;
-    }
+struct Search<'a> {
+    balls: Balls<'a>,
+    order: &'a [usize],
+    best_bins: usize,
+    best: &'a mut [usize],
+    lower: usize,
+    work: &'a mut [usize],
+    /// Remaining capacity, one row of `dims` per open bin.
+    remaining: &'a mut Vec<f64>,
+}
 
-    // Sort balls by size descending: large balls first fail fast.
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| {
-        let sa: f64 = inst.balls[a].iter().sum();
-        let sb: f64 = inst.balls[b].iter().sum();
-        sb.partial_cmp(&sa).unwrap_or(std::cmp::Ordering::Equal)
-    });
-
-    struct Ctx<'a> {
-        inst: &'a VbpInstance,
-        order: &'a [usize],
-        dims: usize,
-        best_bins: usize,
-        best_assignment: Vec<usize>,
-        lower: usize,
-        assignment: Vec<usize>,
-    }
-
-    fn recurse(ctx: &mut Ctx<'_>, depth: usize, remaining: &mut Vec<Vec<f64>>) {
-        if remaining.len() >= ctx.best_bins {
+impl Search<'_> {
+    /// Place the balls from `order[depth]` on, with `bins` bins open.
+    fn branch(&mut self, depth: usize, bins: usize) {
+        if bins >= self.best_bins {
             return; // can't improve
         }
-        if depth == ctx.order.len() {
-            ctx.best_bins = remaining.len();
-            ctx.best_assignment = ctx.assignment.clone();
+        if depth == self.order.len() {
+            self.best_bins = bins;
+            self.best.copy_from_slice(self.work);
             return;
         }
-        let ball_ix = ctx.order[depth];
-        let ball = &ctx.inst.balls[ball_ix];
+        let ball_ix = self.order[depth];
+        let ball = self.balls.ball(ball_ix);
+        let dims = ball.len();
 
         // Try existing bins.
-        for b in 0..remaining.len() {
-            let fits = (0..ctx.dims).all(|d| ball[d] <= remaining[b][d] + 1e-9);
+        for b in 0..bins {
+            let row = b * dims;
+            let fits = (0..dims).all(|d| ball[d] <= self.remaining[row + d] + 1e-9);
             if !fits {
                 continue;
             }
-            for d in 0..ctx.dims {
-                remaining[b][d] -= ball[d];
+            for d in 0..dims {
+                self.remaining[row + d] -= ball[d];
             }
-            ctx.assignment[ball_ix] = b;
-            recurse(ctx, depth + 1, remaining);
-            for d in 0..ctx.dims {
-                remaining[b][d] += ball[d];
+            self.work[ball_ix] = b;
+            self.branch(depth + 1, bins);
+            for d in 0..dims {
+                self.remaining[row + d] += ball[d];
             }
-            if ctx.best_bins == ctx.lower {
+            if self.best_bins == self.lower {
                 return; // proven optimal
             }
         }
         // Open one new bin (symmetry: only one).
-        if remaining.len() + 1 < ctx.best_bins {
-            remaining.push(
-                (0..ctx.dims)
-                    .map(|d| ctx.inst.bin_capacity[d] - ball[d])
-                    .collect(),
-            );
-            ctx.assignment[ball_ix] = remaining.len() - 1;
-            recurse(ctx, depth + 1, remaining);
-            remaining.pop();
+        if bins + 1 < self.best_bins {
+            let capacity = self.balls.capacity;
+            self.remaining
+                .extend((0..dims).map(|d| capacity[d] - ball[d]));
+            self.work[ball_ix] = bins;
+            self.branch(depth + 1, bins + 1);
+            self.remaining.truncate(bins * dims);
         }
     }
-
-    let mut ctx = Ctx {
-        inst,
-        order: &order,
-        dims,
-        best_bins: best.bins_used,
-        best_assignment: best.assignment.clone(),
-        lower,
-        assignment: vec![usize::MAX; n],
-    };
-    let mut remaining: Vec<Vec<f64>> = Vec::new();
-    recurse(&mut ctx, 0, &mut remaining);
-
-    if ctx.best_bins < best.bins_used {
-        best = Packing {
-            assignment: ctx.best_assignment,
-            bins_used: ctx.best_bins,
-        };
-    }
-    best
 }
 
 /// MILP formulation of optimal bin packing (cross-check for [`optimal`]):
@@ -199,7 +217,7 @@ pub fn optimal_milp_stats(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vbp::heuristics::first_fit;
+    use crate::vbp::heuristics::{first_fit, first_fit_decreasing};
 
     /// §2: optimal packs (1%, 49%, 51%, 51%) into 2 bins.
     #[test]

@@ -4,6 +4,7 @@
 //! years of research by theoreticians in this space").
 
 use crate::vbp::instance::{Packing, VbpInstance};
+use crate::vbp::scratch::{Balls, PackScratch};
 
 /// Does `ball` fit in a bin with `remaining` capacity (per dimension)?
 fn fits(ball: &[f64], remaining: &[f64], tol: f64) -> bool {
@@ -13,35 +14,19 @@ fn fits(ball: &[f64], remaining: &[f64], tol: f64) -> bool {
 /// First-fit: place each ball (in input order) into the first bin it fits;
 /// open a new bin when none fits (Fig. 1c's heuristic).
 pub fn first_fit(inst: &VbpInstance) -> Packing {
-    place_in_order(
-        inst,
-        &(0..inst.num_balls()).collect::<Vec<_>>(),
-        BinChoice::First,
-    )
+    PackScratch::packing(inst, |s, balls| s.in_input_order(balls, BinChoice::First))
 }
 
 /// Best-fit: place each ball into the *fullest* bin it fits (the one whose
 /// remaining capacity, summed over dimensions, is smallest after placing).
 pub fn best_fit(inst: &VbpInstance) -> Packing {
-    place_in_order(
-        inst,
-        &(0..inst.num_balls()).collect::<Vec<_>>(),
-        BinChoice::Best,
-    )
+    PackScratch::packing(inst, |s, balls| s.in_input_order(balls, BinChoice::Best))
 }
 
 /// First-fit-decreasing: sort balls by total size descending, then
 /// first-fit. The returned assignment is indexed by *original* ball order.
 pub fn first_fit_decreasing(inst: &VbpInstance) -> Packing {
-    let mut order: Vec<usize> = (0..inst.num_balls()).collect();
-    let size = |i: usize| -> f64 { inst.balls[i].iter().sum() };
-    order.sort_by(|&a, &b| {
-        size(b)
-            .partial_cmp(&size(a))
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    });
-    place_in_order(inst, &order, BinChoice::First)
+    PackScratch::packing(inst, PackScratch::first_fit_decreasing)
 }
 
 /// First-fit with deferred small balls: balls of total size at least
@@ -51,12 +36,16 @@ pub fn first_fit_decreasing(inst: &VbpInstance) -> Packing {
 /// from. A positive threshold repairs §2's pathology: small fillers no
 /// longer claim early bins that over-half balls can then not join.
 pub fn first_fit_deferred(inst: &VbpInstance, defer_below: f64) -> Packing {
-    let size = |i: usize| -> f64 { inst.balls[i].iter().sum() };
-    let mut order: Vec<usize> = (0..inst.num_balls())
-        .filter(|&i| size(i) >= defer_below)
-        .collect();
-    order.extend((0..inst.num_balls()).filter(|&i| size(i) < defer_below));
-    place_in_order(inst, &order, BinChoice::First)
+    PackScratch::packing(inst, |s, balls| s.first_fit_deferred(balls, defer_below))
+}
+
+/// The bin count of [`first_fit_deferred`] on balls given flat:
+/// `sizes[i * capacity.len() + d]` is ball `i`'s size in dimension `d`.
+/// Allocates nothing once the calling thread has packed an instance this
+/// large. Panics on an empty `capacity` or a `sizes` that is not whole
+/// balls.
+pub fn first_fit_deferred_bins(capacity: &[f64], sizes: &[f64], defer_below: f64) -> usize {
+    PackScratch::with(|s| s.first_fit_deferred(Balls::flat(capacity, sizes), defer_below))
 }
 
 enum BinChoice {
@@ -64,43 +53,77 @@ enum BinChoice {
     Best,
 }
 
-fn place_in_order(inst: &VbpInstance, order: &[usize], choice: BinChoice) -> Packing {
-    const TOL: f64 = 1e-9;
-    let dims = inst.num_dims();
-    let mut remaining: Vec<Vec<f64>> = Vec::new();
-    let mut assignment = vec![usize::MAX; inst.num_balls()];
-
-    for &i in order {
-        let ball = &inst.balls[i];
-        let target = match choice {
-            BinChoice::First => remaining.iter().position(|r| fits(ball, r, TOL)),
-            BinChoice::Best => remaining
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| fits(ball, r, TOL))
-                .min_by(|(_, a), (_, b)| {
-                    let ra: f64 = a.iter().sum::<f64>();
-                    let rb: f64 = b.iter().sum::<f64>();
-                    ra.partial_cmp(&rb).unwrap_or(std::cmp::Ordering::Equal)
-                })
-                .map(|(ix, _)| ix),
-        };
-        let bin = match target {
-            Some(b) => b,
-            None => {
-                remaining.push(inst.bin_capacity.clone());
-                remaining.len() - 1
-            }
-        };
-        for d in 0..dims {
-            remaining[bin][d] -= ball[d];
-        }
-        assignment[i] = bin;
+impl PackScratch {
+    fn in_input_order(&mut self, balls: Balls<'_>, choice: BinChoice) -> usize {
+        self.order.clear();
+        self.order.extend(0..balls.n);
+        self.place(balls, choice)
     }
 
-    Packing {
-        bins_used: remaining.len(),
-        assignment,
+    pub(crate) fn first_fit_decreasing(&mut self, balls: Balls<'_>) -> usize {
+        self.order_decreasing(balls);
+        self.place(balls, BinChoice::First)
+    }
+
+    fn first_fit_deferred(&mut self, balls: Balls<'_>, defer_below: f64) -> usize {
+        self.fill_sizes(balls);
+        let size = &self.size;
+        self.order.clear();
+        self.order
+            .extend((0..balls.n).filter(|&i| size[i] >= defer_below));
+        self.order
+            .extend((0..balls.n).filter(|&i| size[i] < defer_below));
+        self.place(balls, BinChoice::First)
+    }
+
+    /// Place the balls of [`PackScratch::order`], each into the bin
+    /// `choice` picks among those it fits (a new bin when none does), and
+    /// return the bins used; [`PackScratch::assignment`] holds the bins.
+    fn place(&mut self, balls: Balls<'_>, choice: BinChoice) -> usize {
+        const TOL: f64 = 1e-9;
+        let dims = balls.dims();
+        let PackScratch {
+            order,
+            remaining,
+            assignment,
+            ..
+        } = self;
+        remaining.clear();
+        // At most one bin per ball: room for all of them up front.
+        remaining.reserve(balls.n * dims);
+        assignment.clear();
+        assignment.resize(balls.n, usize::MAX);
+        let mut bins = 0;
+
+        for &i in order.iter() {
+            let ball = balls.ball(i);
+            let row = |b: usize| &remaining[b * dims..(b + 1) * dims];
+            let target = match choice {
+                BinChoice::First => (0..bins).position(|b| fits(ball, row(b), TOL)),
+                BinChoice::Best => {
+                    (0..bins)
+                        .filter(|&b| fits(ball, row(b), TOL))
+                        .min_by(|&a, &b| {
+                            let ra: f64 = row(a).iter().sum::<f64>();
+                            let rb: f64 = row(b).iter().sum::<f64>();
+                            ra.partial_cmp(&rb).unwrap_or(std::cmp::Ordering::Equal)
+                        })
+                }
+            };
+            let bin = match target {
+                Some(b) => b,
+                None => {
+                    remaining.extend_from_slice(balls.capacity);
+                    bins += 1;
+                    bins - 1
+                }
+            };
+            for d in 0..dims {
+                remaining[bin * dims + d] -= ball[d];
+            }
+            assignment[i] = bin;
+        }
+        bins
     }
 }
 

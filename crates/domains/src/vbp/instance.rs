@@ -8,6 +8,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::vbp::scratch::volume_bound;
+
 /// A VBP instance.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct VbpInstance {
@@ -87,16 +89,9 @@ impl VbpInstance {
     /// Per-dimension lower bound on the optimal bin count:
     /// `max_d ceil(Σ_i size_i_d / cap_d)` (at least 1 if there are balls).
     pub fn lower_bound(&self) -> usize {
-        if self.balls.is_empty() {
-            return 0;
-        }
-        let mut best = 1usize;
-        for d in 0..self.num_dims() {
-            let total: f64 = self.balls.iter().map(|b| b[d]).sum();
-            let lb = (total / self.bin_capacity[d] - 1e-9).ceil().max(0.0) as usize;
-            best = best.max(lb);
-        }
-        best
+        volume_bound(self.num_balls(), &self.bin_capacity, |i, d| {
+            self.balls[i][d]
+        })
     }
 }
 

@@ -194,6 +194,10 @@ pub struct Submitted {
     /// Slot handle for event streaming ([`JobQueue::wait_events`]).
     pub slot: usize,
     pub disposition: Disposition,
+    /// The job's phase when the submission was answered, read under the
+    /// same lock that enqueued or found it: a fresh enqueue is `Queued`
+    /// however soon a worker takes it.
+    pub phase: JobPhase,
 }
 
 /// Point-in-time view of one job.
@@ -303,6 +307,16 @@ enum SlotState {
     /// (a mid-replay subscriber must observe truncation, not a
     /// "complete" stream missing its tail).
     Evicted,
+}
+
+impl SlotState {
+    fn phase(&self) -> JobPhase {
+        match self {
+            SlotState::Queued => JobPhase::Queued,
+            SlotState::Running => JobPhase::Running,
+            SlotState::Done(_) | SlotState::Evicted => JobPhase::Done,
+        }
+    }
 }
 
 /// How the in-memory state answers a deduplicated submission (`None`:
@@ -622,6 +636,7 @@ impl<'a> JobQueue<'a> {
                 key,
                 slot: slot_idx,
                 disposition: Disposition::CacheHit,
+                phase: JobPhase::Done,
             });
         }
 
@@ -730,6 +745,7 @@ impl<'a> JobQueue<'a> {
             key,
             slot,
             disposition,
+            phase: state.slots[slot].state.phase(),
         }
     }
 
@@ -805,6 +821,7 @@ impl<'a> JobQueue<'a> {
             key,
             slot: slot_idx,
             disposition,
+            phase: JobPhase::Queued,
         })
     }
 
@@ -877,19 +894,18 @@ impl<'a> JobQueue<'a> {
     }
 
     fn view_of(slot: &JobSlot) -> JobView {
-        let (phase, outcome) = match &slot.state {
-            SlotState::Queued => (JobPhase::Queued, None),
-            SlotState::Running => (JobPhase::Running, None),
-            SlotState::Done(o) => (JobPhase::Done, Some((**o).clone())),
-            // Unreachable through `poll` (eviction drops the key index);
-            // defensively reads as a completed job with nothing left.
-            SlotState::Evicted => (JobPhase::Done, None),
+        // An evicted slot is unreachable through `poll` (eviction drops
+        // the key index); defensively it reads as a completed job with
+        // nothing left.
+        let outcome = match &slot.state {
+            SlotState::Done(o) => Some((**o).clone()),
+            _ => None,
         };
         JobView {
             id: Self::format_id(slot.key),
             key: slot.key,
             domain: slot.domain.clone(),
-            phase,
+            phase: slot.state.phase(),
             outcome,
             events_logged: slot.events.len(),
             recovered: slot.recovered,
@@ -919,18 +935,6 @@ impl<'a> JobQueue<'a> {
         drop(state);
         self.event_cv.notify_all();
         Some(phase)
-    }
-
-    /// Cheap phase probe by key — no outcome clone, unlike
-    /// [`JobQueue::poll`] (the submit hot path only needs the word).
-    pub fn phase(&self, key: u64) -> Option<JobPhase> {
-        let state = self.state.lock().expect("queue state");
-        let &slot_idx = state.by_key.get(&key)?;
-        Some(match &state.slots[slot_idx].state {
-            SlotState::Queued => JobPhase::Queued,
-            SlotState::Running => JobPhase::Running,
-            SlotState::Done(_) | SlotState::Evicted => JobPhase::Done,
-        })
     }
 
     /// Tail a job's event lines from `from`, blocking up to `timeout`
@@ -1372,6 +1376,46 @@ mod tests {
         assert_eq!(queue.counters().cancelled, 1);
         // Unknown keys answer None.
         assert_eq!(queue.cancel(0xdead), None);
+    }
+
+    /// A fresh submission answers the phase it was enqueued in: an idle
+    /// worker that takes the job at once cannot make it read "running"
+    /// (or "done").
+    #[test]
+    fn a_fresh_submit_reads_queued_with_an_idle_worker_waiting() {
+        let registry = DomainRegistry::builtin();
+        let queue = JobQueue::new(&registry, None, QueueOptions::default());
+        // Answers are collected first and checked after the worker has
+        // shut down, so a failing check cannot leave it running.
+        let answers: Vec<_> = std::thread::scope(|scope| {
+            scope.spawn(|| queue.serve_worker());
+            let answers = (0..8)
+                .map(|seed| {
+                    let sub = queue.submit_deduped(spec("no-such", seed), None).unwrap();
+                    while queue.poll(sub.key).unwrap().phase != JobPhase::Done {
+                        std::thread::yield_now();
+                    }
+                    // A resubmission is answered from the finished slot.
+                    let again = queue.submit_deduped(spec("no-such", seed), None).unwrap();
+                    [
+                        (sub.disposition, sub.phase),
+                        (again.disposition, again.phase),
+                    ]
+                })
+                .collect();
+            queue.shutdown();
+            answers
+        });
+        for (seed, answer) in answers.into_iter().enumerate() {
+            assert_eq!(
+                answer,
+                [
+                    (Disposition::Enqueued, JobPhase::Queued),
+                    (Disposition::CacheHit, JobPhase::Done)
+                ],
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]

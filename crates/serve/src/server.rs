@@ -405,16 +405,13 @@ fn submit_job(ctx: &Ctx<'_>, request: &Request, tenant: Option<&str>) -> Respons
     }
     match ctx.queue.submit_deduped(spec, tenant) {
         Ok(sub) => {
-            // `phase`, not `poll`: the hot cache-hit route must not
-            // deep-clone a full outcome just to read one word.
-            let phase = ctx.queue.phase(sub.key).unwrap_or(JobPhase::Queued);
             let cache_hit = sub.disposition == xplain_runtime::Disposition::CacheHit;
             let status = if cache_hit { 200 } else { 202 };
             Response::json(
                 status,
                 serde_json::to_string(&SubmitBody {
                     id: sub.id,
-                    status: phase.as_str().to_string(),
+                    status: sub.phase.as_str().to_string(),
                     disposition: sub.disposition.as_str().to_string(),
                     cache_hit,
                 })
