@@ -7,16 +7,16 @@
 //! inputs are found — exactly the role MetaOpt plays in the paper's Fig. 3.
 
 use std::sync::Arc;
-use xplain_domains::sched::{lpt_capped_makespan, optimal_makespan};
+use xplain_domains::sched::lpt_capped_and_optimal_makespans;
 use xplain_domains::te::{DemandPinning, TeLexSolverStack, TeProblem};
 use xplain_domains::vbp::{first_fit_deferred_bins, optimal_bins};
 
 /// A heuristic-vs-benchmark gap function over a box input space.
 ///
-/// `Send + Sync` because oracles are both shared across the explainer's
-/// scoped sample threads and *moved* into the runtime's batch-executor
-/// workers (`Box<dyn GapOracle>` built by a `Domain` factory on one
-/// thread may run on another).
+/// `Send + Sync` because oracles are shared across threads by reference
+/// (the `&T` impl below is `Send` only for a `Sync` oracle) and *moved*
+/// into the runtime's workers (`Box<dyn GapOracle>` built by a `Domain`
+/// factory on one thread may run on another).
 pub trait GapOracle: Send + Sync {
     /// Input dimensionality.
     fn dims(&self) -> usize;
@@ -66,7 +66,7 @@ impl<T: GapOracle + ?Sized> GapOracle for &T {
 /// [`TeLexSolver`](xplain_domains::te::TeLexSolver)s:
 /// the stage LPs are standardized once and every evaluation re-solves
 /// them through rhs deltas — no per-evaluation model build. Solvers live
-/// in a [`TeLexSolverStack`], so the explainer's sample threads each
+/// in a [`TeLexSolverStack`], so concurrent callers on one stack each
 /// hold one for the duration of an evaluation. The stack depends on the
 /// problem alone, never on the threshold, so oracles for one problem
 /// can share one ([`DpOracle::sharing`]: a domain's oracles, mapper and
@@ -184,7 +184,8 @@ impl GapOracle for FfOracle {
 /// Makespan-scheduling gap oracle: input = job processing times, gap =
 /// LPT makespan − optimal makespan. Both makespans run on the point in
 /// the calling thread's scheduling scratch and, once the thread has
-/// scheduled this many jobs, allocate nothing.
+/// scheduled this many jobs, allocate nothing; uncapped, the LPT run is
+/// also the optimum search's incumbent.
 pub struct SchedOracle {
     pub n_jobs: usize,
     pub n_machines: usize,
@@ -226,8 +227,7 @@ impl GapOracle for SchedOracle {
         {
             return f64::NEG_INFINITY;
         }
-        let h = lpt_capped_makespan(self.n_machines, x, self.cap_factor);
-        let b = optimal_makespan(self.n_machines, x);
+        let (h, b) = lpt_capped_and_optimal_makespans(self.n_machines, x, self.cap_factor);
         h - b
     }
 

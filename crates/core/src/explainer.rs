@@ -8,29 +8,28 @@
 //! 'heatmap' of the differences … shows how inputs in the subspace
 //! interfere with the heuristic."
 //!
-//! Sampling is split into a fixed number of seeded streams, fanned out
-//! over `std::thread::scope` workers — evaluating a sample means running
-//! both the heuristic and an exact benchmark, which is pure CPU work. The
-//! stream count comes from [`ExplainerParams`], never from the host, so a
-//! heat-map is a function of its inputs alone. The workers' solver work
-//! counts on the calling thread ([`xplain_lp::counters::on_threads`]).
+//! Sampling is split into a fixed number of seeded streams that run one
+//! after another on the calling thread: a job's parallelism is the
+//! runtime's job workers, not threads of its own. Each stream sums into
+//! one reused accumulator, which joins the totals in stream order. The
+//! stream count comes from [`ExplainerParams`], never from the host, so
+//! a heat-map is a function of its inputs alone.
 
 use crate::subspace::Subspace;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use xplain_flownet::FlowNet;
-use xplain_lp::counters;
 
 /// Domain adapter: maps a concrete input to heuristic/benchmark edge
 /// flows over a shared DSL graph.
 ///
 /// Concrete mappers (Demand Pinning, first-fit, LPT, …) live in
 /// `xplain-runtime`'s domain adapters — this crate only defines the
-/// interface, keeping the explainer domain-agnostic. `Send + Sync`
-/// because mappers are shared across sample threads here and built by
-/// `Domain` factories on runtime worker threads.
-pub trait DslMapper: Send + Sync {
+/// interface, keeping the explainer domain-agnostic. No `Send` or `Sync`
+/// bound: a job's mapper is built, and called for every sample, on the
+/// job's own thread.
+pub trait DslMapper {
     fn net(&self) -> &FlowNet;
 
     /// Heuristic edge flows at `x` (`None` when the input cannot be
@@ -113,12 +112,12 @@ pub struct ExplainerParams {
     pub samples: usize,
     /// Flow below this is "not using the edge".
     pub flow_tol: f64,
-    /// Sample streams (0 = [`DEFAULT_STREAMS`]). Stream `s` draws
+    /// Sample streams (0 = [`DEFAULT_STREAMS`]); the name is kept for the
+    /// stored specs and content keys that carry it. Stream `s` draws
     /// `samples / threads` (rounded up) points from its own RNG, seeded
-    /// from the seed and `s`, into its own accumulator, and accumulators
-    /// merge in stream order. The result depends on this value, never on
-    /// the host: OS threads — at most `min(streams, available cores)` —
-    /// only divide the streams among them.
+    /// from the seed and `s`, and its sums join the totals in stream
+    /// order. All streams run on the calling thread, so this value
+    /// shapes the result and never the number of OS threads.
     pub threads: usize,
 }
 
@@ -135,24 +134,47 @@ impl Default for ExplainerParams {
     }
 }
 
+/// Per-edge sums over a run of samples.
+struct Acc {
+    score_sum: Vec<f64>,
+    h_used: Vec<usize>,
+    b_used: Vec<usize>,
+    h_flow: Vec<f64>,
+    b_flow: Vec<f64>,
+    samples: usize,
+}
+
+impl Acc {
+    fn new(n_edges: usize) -> Self {
+        Acc {
+            score_sum: vec![0.0; n_edges],
+            h_used: vec![0; n_edges],
+            b_used: vec![0; n_edges],
+            h_flow: vec![0.0; n_edges],
+            b_flow: vec![0.0; n_edges],
+            samples: 0,
+        }
+    }
+
+    /// Add `part` into `self`, then zero `part` for the next stream.
+    fn drain_from(&mut self, part: &mut Acc) {
+        for e in 0..self.score_sum.len() {
+            self.score_sum[e] += std::mem::take(&mut part.score_sum[e]);
+            self.h_used[e] += std::mem::take(&mut part.h_used[e]);
+            self.b_used[e] += std::mem::take(&mut part.b_used[e]);
+            self.h_flow[e] += std::mem::take(&mut part.h_flow[e]);
+            self.b_flow[e] += std::mem::take(&mut part.b_flow[e]);
+        }
+        self.samples += std::mem::take(&mut part.samples);
+    }
+}
+
 /// Produce the heat-map for a subspace.
 pub fn explain(
     mapper: &dyn DslMapper,
     subspace: &Subspace,
     params: &ExplainerParams,
     seed: u64,
-) -> Explanation {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    explain_on(mapper, subspace, params, seed, cores)
-}
-
-/// [`explain`] on at most `os_threads` OS threads.
-fn explain_on(
-    mapper: &dyn DslMapper,
-    subspace: &Subspace,
-    params: &ExplainerParams,
-    seed: u64,
-    os_threads: usize,
 ) -> Explanation {
     let n_edges = mapper.net().num_edges();
     let streams = if params.threads == 0 {
@@ -161,33 +183,17 @@ fn explain_on(
         params.threads
     };
     let per_stream = params.samples.div_ceil(streams);
+    let lo = &subspace.rough_lo;
+    let hi = &subspace.rough_hi;
+    let dims = lo.len();
 
-    struct Acc {
-        score_sum: Vec<f64>,
-        h_used: Vec<usize>,
-        b_used: Vec<usize>,
-        h_flow: Vec<f64>,
-        b_flow: Vec<f64>,
-        samples: usize,
-    }
-
-    let accumulate = |stream: usize| -> Acc {
+    let mut total = Acc::new(n_edges);
+    let mut acc = Acc::new(n_edges);
+    let mut x: Vec<f64> = Vec::with_capacity(dims);
+    for stream in 0..streams {
         let mut rng = StdRng::seed_from_u64(seed.wrapping_add(stream as u64 * 0x9E3779B9));
-        let mut acc = Acc {
-            score_sum: vec![0.0; n_edges],
-            h_used: vec![0; n_edges],
-            b_used: vec![0; n_edges],
-            h_flow: vec![0.0; n_edges],
-            b_flow: vec![0.0; n_edges],
-            samples: 0,
-        };
-        let lo = &subspace.rough_lo;
-        let hi = &subspace.rough_hi;
-        let dims = lo.len();
-        let mut produced = 0usize;
         let mut attempts = 0usize;
-        let mut x: Vec<f64> = Vec::with_capacity(dims);
-        while produced < per_stream && attempts < per_stream * 40 {
+        while acc.samples < per_stream && attempts < per_stream * 40 {
             attempts += 1;
             x.clear();
             x.extend((0..dims).map(|d| rng.gen_range(lo[d]..=hi[d])));
@@ -216,60 +222,29 @@ fn explain_on(
                 };
             }
             acc.samples += 1;
-            produced += 1;
         }
-        acc
-    };
-
-    // Each OS thread takes a contiguous run of streams; threads return
-    // in order, so the accumulators stay in stream order.
-    let chunk = streams.div_ceil(os_threads.max(1));
-    let accs: Vec<Acc> = if chunk >= streams {
-        (0..streams).map(accumulate).collect()
-    } else {
-        counters::on_threads(streams.div_ceil(chunk), |t| {
-            let mine = t * chunk..((t + 1) * chunk).min(streams);
-            mine.map(accumulate).collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect()
-    };
-
-    let mut score_sum = vec![0.0; n_edges];
-    let mut h_used = vec![0usize; n_edges];
-    let mut b_used = vec![0usize; n_edges];
-    let mut h_flow = vec![0.0; n_edges];
-    let mut b_flow = vec![0.0; n_edges];
-    let mut total = 0usize;
-    for acc in accs {
-        for e in 0..n_edges {
-            score_sum[e] += acc.score_sum[e];
-            h_used[e] += acc.h_used[e];
-            b_used[e] += acc.b_used[e];
-            h_flow[e] += acc.h_flow[e];
-            b_flow[e] += acc.b_flow[e];
-        }
-        total += acc.samples;
+        // Each stream sums from zero and joins the total in stream
+        // order, so the float sums depend on the stream count alone.
+        total.drain_from(&mut acc);
     }
 
-    let denom = total.max(1) as f64;
+    let denom = total.samples.max(1) as f64;
     let edges = (0..n_edges)
         .map(|e| EdgeScore {
             edge_index: e,
             label: mapper.net().edges()[e].label.clone(),
-            score: score_sum[e] / denom,
-            heuristic_frac: h_used[e] as f64 / denom,
-            benchmark_frac: b_used[e] as f64 / denom,
-            heuristic_mean_flow: h_flow[e] / denom,
-            benchmark_mean_flow: b_flow[e] / denom,
-            mean_flow_delta: (b_flow[e] - h_flow[e]) / denom,
+            score: total.score_sum[e] / denom,
+            heuristic_frac: total.h_used[e] as f64 / denom,
+            benchmark_frac: total.b_used[e] as f64 / denom,
+            heuristic_mean_flow: total.h_flow[e] / denom,
+            benchmark_mean_flow: total.b_flow[e] / denom,
+            mean_flow_delta: (total.b_flow[e] - total.h_flow[e]) / denom,
         })
         .collect();
 
     Explanation {
         edges,
-        samples_used: total,
+        samples_used: total.samples,
     }
 }
 
@@ -395,14 +370,18 @@ mod tests {
         }
     }
 
-    /// A heat-map is a function of its params and seed alone: the same
-    /// streams on 1, 2 or 3 OS threads give bit-identical explanations,
-    /// and `threads: 0` means [`DEFAULT_STREAMS`] streams.
+    /// `threads: 0` means [`DEFAULT_STREAMS`] streams, bit for bit.
     #[test]
-    fn explanation_does_not_depend_on_os_threads() {
+    fn zero_threads_means_the_default_stream_count() {
         let mapper = TestMapper::new();
         let sub = Subspace::from_rough_box(vec![0.3], vec![0.9], vec![0.6], 1.0);
-        let bits = |ex: &Explanation| -> Vec<u64> {
+        let bits = |threads: usize| -> Vec<u64> {
+            let params = ExplainerParams {
+                samples: 100,
+                threads,
+                ..Default::default()
+            };
+            let ex = explain(&mapper, &sub, &params, 7);
             ex.edges
                 .iter()
                 .flat_map(|e| {
@@ -419,32 +398,7 @@ mod tests {
                 .chain([ex.samples_used as u64])
                 .collect()
         };
-        for threads in [0, 3, 5] {
-            let params = ExplainerParams {
-                samples: 100,
-                threads,
-                ..Default::default()
-            };
-            let one = bits(&explain_on(&mapper, &sub, &params, 7, 1));
-            for os_threads in [2, 3] {
-                let many = bits(&explain_on(&mapper, &sub, &params, 7, os_threads));
-                assert_eq!(many, one, "threads {threads}, {os_threads} OS threads");
-            }
-            assert_eq!(bits(&explain(&mapper, &sub, &params, 7)), one);
-        }
-        let auto = ExplainerParams {
-            samples: 100,
-            threads: 0,
-            ..Default::default()
-        };
-        let two = ExplainerParams {
-            threads: DEFAULT_STREAMS,
-            ..auto.clone()
-        };
-        assert_eq!(
-            bits(&explain_on(&mapper, &sub, &auto, 7, 1)),
-            bits(&explain_on(&mapper, &sub, &two, 7, 2))
-        );
+        assert_eq!(bits(0), bits(DEFAULT_STREAMS));
     }
 
     /// [`TestMapper`] whose benchmark flows come out of an LP.
@@ -468,10 +422,10 @@ mod tests {
         }
     }
 
-    /// The sample threads' solves count on the thread that called the
-    /// explainer, the same on 1 OS thread as on 3.
+    /// Every sample's solves count on the thread that called the
+    /// explainer.
     #[test]
-    fn sample_threads_hand_solver_work_to_the_caller() {
+    fn sample_solves_count_on_the_caller() {
         use xplain_lp::SolverCounters;
         let mapper = LpMapper(TestMapper::new());
         let sub = Subspace::from_rough_box(vec![0.3], vec![0.9], vec![0.6], 1.0);
@@ -480,17 +434,11 @@ mod tests {
             threads: 3,
             ..Default::default()
         };
-        let totals: Vec<SolverCounters> = [1, 3]
-            .into_iter()
-            .map(|os_threads| {
-                let before = SolverCounters::snapshot();
-                let ex = explain_on(&mapper, &sub, &params, 7, os_threads);
-                assert_eq!(ex.samples_used, 60);
-                SolverCounters::snapshot().since(&before)
-            })
-            .collect();
-        assert_eq!(totals[0].lp_solves, 60, "{:?}", totals[0]);
-        assert_eq!(totals[0], totals[1]);
+        let before = SolverCounters::snapshot();
+        let ex = explain(&mapper, &sub, &params, 7);
+        assert_eq!(ex.samples_used, 60);
+        let work = SolverCounters::snapshot().since(&before);
+        assert_eq!(work.lp_solves, 60, "{work:?}");
     }
 
     #[test]

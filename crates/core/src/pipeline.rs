@@ -114,8 +114,8 @@ pub struct PipelineResult {
     pub wall_time_ms: u64,
     /// LP/MILP work this run did (iterations, warm-start hits,
     /// branch-and-bound nodes): the per-thread `xplain_lp::counters`
-    /// delta of each stage, helper threads included, so it is the run's
-    /// own work whatever else solves in the process. Execution metadata
+    /// delta of each stage, so it is the run's own work whatever else
+    /// solves in the process. Execution metadata
     /// like `wall_time_ms`: the batch executor normalizes the stored
     /// copy to zero and reports the count on the job outcome instead.
     pub solver: SolverCounters,

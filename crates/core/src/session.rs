@@ -126,10 +126,9 @@ pub struct SessionBudgets {
     #[serde(default)]
     pub max_analyzer_calls: Option<usize>,
     /// Cap on LP simplex iterations (primal + dual) the session's own
-    /// stages made, on its thread and the helper threads they joined
-    /// (`xplain_lp::counters`). What other jobs solve meanwhile does not
-    /// count, so the cap fires at the same event however many workers
-    /// run beside it.
+    /// stages made on its thread (`xplain_lp::counters`). What other jobs
+    /// solve meanwhile does not count, so the cap fires at the same event
+    /// however many workers run beside it.
     #[serde(default)]
     pub max_solver_iterations: Option<u64>,
 }

@@ -23,20 +23,38 @@ pub fn optimal(inst: &SchedInstance) -> Schedule {
     SchedScratch::schedule(|s| s.optimal(inst.machines, &inst.jobs))
 }
 
-/// The makespan of [`optimal`] for `jobs` on `machines` machines.
-/// Allocates nothing once the calling thread has scheduled an instance
-/// this large.
-pub fn optimal_makespan(machines: usize, jobs: &[f64]) -> f64 {
-    SchedScratch::with(|s| s.optimal(machines, jobs))
+/// The makespans of [`lpt_capped`](crate::sched::lpt_capped) and of
+/// [`optimal`] for `jobs` on `machines` machines, in one borrow of the
+/// thread's scratch: an uncapped LPT run (`cap_factor <= 0`) is also the
+/// search's incumbent, so LPT runs once. Allocates nothing once the
+/// calling thread has scheduled an instance this large.
+pub fn lpt_capped_and_optimal_makespans(
+    machines: usize,
+    jobs: &[f64],
+    cap_factor: f64,
+) -> (f64, f64) {
+    SchedScratch::with(|s| {
+        let heuristic = s.lpt_capped(machines, jobs, cap_factor);
+        let lpt = if cap_factor > 0.0 {
+            s.lpt_capped(machines, jobs, 0.0)
+        } else {
+            heuristic
+        };
+        (heuristic, s.improve_lpt(machines, jobs, lpt))
+    })
 }
 
 impl SchedScratch {
     fn optimal(&mut self, machines: usize, jobs: &[f64]) -> f64 {
+        let lpt = self.lpt_capped(machines, jobs, 0.0);
+        self.improve_lpt(machines, jobs, lpt)
+    }
+
+    /// The optimum by branch and bound from the incumbent that the
+    /// uncapped LPT run just left in `self` (its order and assignment)
+    /// with makespan `lpt_makespan`.
+    fn improve_lpt(&mut self, machines: usize, jobs: &[f64], lpt_makespan: f64) -> f64 {
         let n = jobs.len();
-        if n == 0 {
-            self.assignment.clear();
-            return self.settle(machines, jobs);
-        }
 
         // The search's buffers are sized even when the incumbent proves
         // optimal, so no later search of this size allocates. Each node
@@ -48,9 +66,8 @@ impl SchedScratch {
         self.tried.clear();
         self.tried.reserve(n * machines);
 
-        // Incumbent from LPT; the volume/longest-job bound proves
-        // optimality early on benign instances.
-        let lpt_makespan = self.lpt_capped(machines, jobs, 0.0);
+        // The volume/longest-job bound proves optimality early on benign
+        // instances (and on no jobs at all).
         let lower = lower_bound(machines, jobs);
         if lpt_makespan <= lower + TOL {
             return lpt_makespan;

@@ -29,13 +29,6 @@ pub fn lpt_capped(inst: &SchedInstance, cap_factor: f64) -> Schedule {
     SchedScratch::schedule(|s| s.lpt_capped(inst.machines, &inst.jobs, cap_factor))
 }
 
-/// The makespan of [`lpt_capped`] for `jobs` on `machines` machines.
-/// Allocates nothing once the calling thread has scheduled an instance
-/// this large.
-pub fn lpt_capped_makespan(machines: usize, jobs: &[f64], cap_factor: f64) -> f64 {
-    SchedScratch::with(|s| s.lpt_capped(machines, jobs, cap_factor))
-}
-
 /// List scheduling in the given job order: each job goes to the machine
 /// with the smallest current load (lowest index on ties).
 pub fn list_schedule(inst: &SchedInstance, order: &[usize]) -> Schedule {

@@ -20,6 +20,8 @@ pub mod lpt;
 mod scratch;
 
 pub use dsl::{canonical_machine_slots, SchedDsl};
-pub use exact::{milp_model, optimal, optimal_makespan, optimal_milp, optimal_milp_stats};
+pub use exact::{
+    lpt_capped_and_optimal_makespans, milp_model, optimal, optimal_milp, optimal_milp_stats,
+};
 pub use instance::{SchedInstance, Schedule};
-pub use lpt::{list_schedule, lpt, lpt_capped, lpt_capped_makespan};
+pub use lpt::{list_schedule, lpt, lpt_capped};

@@ -5,9 +5,8 @@
 //! in its thread's scratch: once a thread has scheduled an instance,
 //! scheduling one of the same or a smaller size allocates nothing. The
 //! [`Schedule`] functions copy the result out of the scratch; the gap
-//! oracle's makespan functions ([`lpt_capped_makespan`](crate::sched::lpt_capped_makespan),
-//! [`optimal_makespan`](crate::sched::optimal_makespan)) read the makespan
-//! alone and stay allocation-free.
+//! oracle's [`lpt_capped_and_optimal_makespans`](crate::sched::lpt_capped_and_optimal_makespans)
+//! reads the makespans alone and stays allocation-free.
 
 use std::cell::RefCell;
 

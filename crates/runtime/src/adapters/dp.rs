@@ -21,12 +21,11 @@ use xplain_flownet::FlowNet;
 
 /// DSL mapper for Demand Pinning on a TE problem (Fig. 4a).
 ///
-/// The explainer fans `heuristic_flows`/`benchmark_flows` across sample
-/// threads, and max-flow optima are not unique: a solve that started
-/// from whatever basis its solver last held would return a *vertex* (the
-/// flow split among equally-optimal allocations) that depends on thread
-/// scheduling and call order, breaking the runtime's byte-for-byte
-/// determinism guarantee. So the mapper checks a prepared
+/// Concurrent jobs share a domain's solvers, and max-flow optima are
+/// not unique: a solve that started from whatever basis its solver last
+/// held would return a *vertex* (the flow split among equally-optimal
+/// allocations) that depends on thread scheduling and call order,
+/// breaking the runtime's byte-for-byte determinism guarantee. So the mapper checks a prepared
 /// [`TeLexSolver`] (both lexicographic stage LPs standardized once) out of
 /// a [`TeLexSolverStack`], and every solve starts from that solver's
 /// anchor basis, the one [`TeProblem::lex_solver`] kept at the box
@@ -500,10 +499,10 @@ mod tests {
         );
     }
 
-    /// Two runs of a two-thread explainer over one mapper serialize to
+    /// Two runs of a two-stream explainer over one mapper serialize to
     /// the same bytes.
     #[test]
-    fn dp_explanation_bytes_repeat_across_threaded_runs() {
+    fn dp_explanation_bytes_repeat_across_runs() {
         let mapper = DpDslMapper::new(TeProblem::fig1a(), 50.0);
         let sub = Subspace::from_rough_box(
             vec![35.0, 85.0, 85.0],

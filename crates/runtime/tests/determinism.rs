@@ -4,8 +4,17 @@
 //! pure cache hits with the same bytes.
 
 use proptest::prelude::*;
+use std::collections::HashSet;
+use std::sync::Mutex;
+use std::thread::ThreadId;
+use xplain_analyzer::geometry::Polytope;
+use xplain_analyzer::oracle::GapOracle;
+use xplain_analyzer::search::find_adversarial;
+use xplain_core::explainer::DslMapper;
 use xplain_core::pipeline::PipelineConfig;
+use xplain_core::session::SessionBuilder;
 use xplain_core::{ExplainerParams, SignificanceParams};
+use xplain_flownet::FlowNet;
 use xplain_runtime::{
     build_session, run_manifest, CancelToken, DomainRegistry, JobOutcome, JobSpec, ResultStore,
     SessionBudgets, SolverCounters,
@@ -153,8 +162,8 @@ fn corrupted_store_entry_recovers_through_the_executor() {
 
 /// A dp job's solver counts are its own: the same job reports the same
 /// `JobOutcome::solver` alone on one worker and beside two other dp jobs
-/// on three. Its explainer runs two sample threads, so this also covers
-/// the work those threads hand back.
+/// on three. Its explainer runs two sample streams on the job's thread,
+/// and the three jobs' solves share the domain's solver stack.
 #[test]
 fn dp_solver_counts_do_not_depend_on_the_jobs_beside_it() {
     let registry = DomainRegistry::builtin();
@@ -220,4 +229,91 @@ fn a_dp_job_reports_all_of_its_solver_work() {
     let before = SolverCounters::snapshot();
     let outcome = run_manifest(&registry, &[job], None, 1);
     assert_eq!(SolverCounters::snapshot().since(&before), outcome[0].solver);
+}
+
+/// A domain's oracle or mapper that notes the thread of every call.
+struct Recorded<T: ?Sized> {
+    threads: Mutex<HashSet<ThreadId>>,
+    inner: Box<T>,
+}
+
+impl<T: ?Sized> Recorded<T> {
+    fn new(inner: Box<T>) -> Self {
+        Recorded {
+            threads: Mutex::new(HashSet::new()),
+            inner,
+        }
+    }
+
+    fn note(&self) -> &T {
+        self.threads
+            .lock()
+            .unwrap()
+            .insert(std::thread::current().id());
+        &self.inner
+    }
+
+    fn threads(&self) -> HashSet<ThreadId> {
+        self.threads.lock().unwrap().clone()
+    }
+}
+
+impl GapOracle for Recorded<dyn GapOracle> {
+    fn dims(&self) -> usize {
+        self.note().dims()
+    }
+    fn bounds(&self) -> Vec<(f64, f64)> {
+        self.note().bounds()
+    }
+    fn gap(&self, x: &[f64]) -> f64 {
+        self.note().gap(x)
+    }
+    fn dim_names(&self) -> Vec<String> {
+        self.note().dim_names()
+    }
+}
+
+impl DslMapper for Recorded<dyn DslMapper> {
+    fn net(&self) -> &FlowNet {
+        self.note().net()
+    }
+    fn heuristic_flows(&self, x: &[f64]) -> Option<Vec<f64>> {
+        self.note().heuristic_flows(x)
+    }
+    fn benchmark_flows(&self, x: &[f64]) -> Option<Vec<f64>> {
+        self.note().benchmark_flows(x)
+    }
+}
+
+/// A default-config session runs on the thread that drives it: every
+/// gap (analyzer, growth, significance, coverage) and every explainer
+/// sample of each built-in domain is evaluated on the calling thread.
+#[test]
+fn a_default_config_session_starts_no_thread() {
+    let registry = DomainRegistry::builtin();
+    let caller = HashSet::from([std::thread::current().id()]);
+    for id in registry.ids() {
+        let domain = registry.get(&id).expect("registered");
+        let oracle = Recorded::new(domain.oracle());
+        let mapper = Recorded::new(domain.mapper().expect("every built-in domain explains"));
+        let search = domain.search_options();
+        let result = SessionBuilder::new(&oracle)
+            .mapper(&mapper)
+            .features(domain.feature_schema())
+            .finder(|excl: &[Polytope], rng: &mut _| find_adversarial(&oracle, excl, &search, rng))
+            .config(PipelineConfig::default())
+            .build()
+            .expect("session builds")
+            .drain();
+        assert!(
+            result.findings.iter().any(|f| f.explanation.is_some()),
+            "{id}: nothing was explained"
+        );
+        assert_eq!(oracle.threads(), caller, "{id}: gaps ran on other threads");
+        assert_eq!(
+            mapper.threads(),
+            caller,
+            "{id}: samples ran on other threads"
+        );
+    }
 }

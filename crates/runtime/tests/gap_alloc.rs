@@ -1,10 +1,13 @@
-//! Allocation budget of the packing and scheduling gap oracles.
+//! Allocation budgets of the packing and scheduling gap oracles and of
+//! the explainer.
 //!
 //! `FfOracle::gap` and `SchedOracle::gap` run their algorithms in the
 //! calling thread's reusable scratch, so once a thread has evaluated a
-//! point of an oracle's size, every further gap allocates nothing. A
-//! counting global allocator pins that; it counts per thread, so the test
-//! harness's own threads never show up in the count.
+//! point of an oracle's size, every further gap allocates nothing. The
+//! explainer reuses one accumulator for all of its sample streams, so
+//! its allocations do not grow with the stream count. A counting global
+//! allocator pins both; it counts per thread, so the test harness's own
+//! threads never show up in the count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -12,6 +15,9 @@ use std::cell::Cell;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use xplain_analyzer::oracle::{FfOracle, GapOracle};
+use xplain_core::explainer::{explain, DslMapper, ExplainerParams};
+use xplain_core::subspace::Subspace;
+use xplain_flownet::{FlowNet, SourceInput, SourceKind};
 use xplain_runtime::DomainRegistry;
 
 struct Counting;
@@ -104,4 +110,58 @@ fn ff_and_sched_gaps_allocate_nothing_after_warm_up() {
         assert_allocation_free(&format!("tuned {id}"), tuned.as_ref());
     }
     assert_allocation_free("12-ball ff", &FfOracle::new(12));
+}
+
+/// A mapper over a two-edge net that makes exactly one allocation per
+/// call, its flow vector.
+struct TwoEdges(FlowNet);
+
+impl TwoEdges {
+    fn new() -> Self {
+        let mut net = FlowNet::new("two edges");
+        let src = net.source(
+            "S",
+            "SOURCES",
+            SourceKind::Pick,
+            SourceInput::Var { lo: 0.0, hi: 1.0 },
+        );
+        let a = net.sink("A", "SINKS", 1.0);
+        let b = net.sink("B", "SINKS", 1.0);
+        net.edge(src, a, "left");
+        net.edge(src, b, "right");
+        TwoEdges(net)
+    }
+}
+
+impl DslMapper for TwoEdges {
+    fn net(&self) -> &FlowNet {
+        &self.0
+    }
+    fn heuristic_flows(&self, x: &[f64]) -> Option<Vec<f64>> {
+        Some(vec![x[0], 0.0])
+    }
+    fn benchmark_flows(&self, x: &[f64]) -> Option<Vec<f64>> {
+        Some(vec![0.0, x[0]])
+    }
+}
+
+/// The same 640 samples cost the calling thread as many allocations in
+/// one stream as in 64: the streams share one accumulator, so memory
+/// does not scale with `ExplainerParams::threads`.
+#[test]
+fn explainer_allocations_do_not_grow_with_the_stream_count() {
+    let mapper = TwoEdges::new();
+    let sub = Subspace::from_rough_box(vec![0.0], vec![1.0], vec![0.5], 0.0);
+    let run = |threads: usize| {
+        let params = ExplainerParams {
+            samples: 640,
+            threads,
+            ..Default::default()
+        };
+        allocations(|| explain(&mapper, &sub, &params, 3))
+    };
+    let (one, one_count) = run(1);
+    let (many, many_count) = run(64);
+    assert_eq!((one.samples_used, many.samples_used), (640, 640));
+    assert_eq!(many_count, one_count, "64 streams vs 1");
 }

@@ -1,18 +1,23 @@
-//! Bit pins of the packing and scheduling gap oracles.
+//! Bit pins of the gap oracles, the explainer and the default manifest.
 //!
 //! FNV-1a digests over the bits of 2,000 seeded `FfOracle` /
 //! `SchedOracle` gaps (default and tuned parameters, points with ties and
-//! zeros) and over the stored ff/sched results of the default manifest
-//! (`runner --emit-manifest`: one default-config job per registered
-//! domain, base seed 7). The constants were computed before the packing
-//! and scheduling algorithms moved into reusable scratch, so they pin
-//! that a rewrite of those algorithms moves no bit: not a gap, not an
-//! optimal assignment the search lands on, not a stored result.
+//! zeros), over `explain` heat-maps of the three built-in mappers at
+//! several stream counts, and over the stored results of the default
+//! manifest (`runner --emit-manifest`: one default-config job per
+//! registered domain, base seed 7). The gap constants were computed
+//! before the packing and scheduling algorithms moved into reusable
+//! scratch; the explainer and dp constants before the explainer's sample
+//! streams moved from scoped threads onto the calling thread. They pin
+//! that a rewrite of those paths moves no bit: not a gap, not an optimal
+//! assignment the search lands on, not a heat-map, not a stored result.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use xplain_analyzer::oracle::{FfOracle, GapOracle, SchedOracle};
+use xplain_core::explainer::{explain, ExplainerParams};
 use xplain_core::pipeline::PipelineConfig;
+use xplain_core::subspace::Subspace;
 use xplain_runtime::{run_manifest, DomainRegistry, JobSpec, SessionBudgets};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -84,8 +89,59 @@ fn ff_and_sched_gaps_keep_their_bits() {
     );
 }
 
+/// Digest of the heat-maps of `domain`'s mapper over the box from 20% to
+/// 70% of its oracle's, 60 samples at each stream count (`0` is the
+/// default), every field's bits and the sample count.
+fn explanation_digest(registry: &DomainRegistry, domain: &str) -> u64 {
+    let domain = registry.get(domain).expect("registered");
+    let mapper = domain.mapper().expect("every built-in domain explains");
+    let (lo, hi): (Vec<f64>, Vec<f64>) = domain
+        .oracle()
+        .bounds()
+        .iter()
+        .map(|&(lo, hi)| (lo + 0.2 * (hi - lo), lo + 0.7 * (hi - lo)))
+        .unzip();
+    let sub = Subspace::from_rough_box(lo, hi.clone(), hi, 1.0);
+    [0, 1, 2, 3, 5]
+        .into_iter()
+        .fold(FNV_OFFSET, |hash, threads| {
+            let params = ExplainerParams {
+                samples: 60,
+                threads,
+                ..Default::default()
+            };
+            let ex = explain(mapper.as_ref(), &sub, &params, 11 + threads as u64);
+            assert!(ex.samples_used > 0, "no sample mapped at {threads} streams");
+            let hash = fnv1a(hash, &(ex.samples_used as u64).to_le_bytes());
+            ex.edges.iter().fold(hash, |hash, e| {
+                [
+                    e.score,
+                    e.heuristic_frac,
+                    e.benchmark_frac,
+                    e.heuristic_mean_flow,
+                    e.benchmark_mean_flow,
+                    e.mean_flow_delta,
+                ]
+                .iter()
+                .fold(hash, |hash, v| fnv1a(hash, &v.to_bits().to_le_bytes()))
+            })
+        })
+}
+
 #[test]
-fn default_manifest_ff_and_sched_results_keep_their_bits() {
+fn explanations_keep_their_bits_at_every_stream_count() {
+    let registry = DomainRegistry::builtin();
+    let digests =
+        ["dp", "ff", "sched"].map(|d| format!("{:016x}", explanation_digest(&registry, d)));
+    assert_eq!(
+        digests,
+        ["76e4311d9d365f12", "29c65cc38976aa23", "5be31080d8643a65"],
+        "[dp, ff, sched]"
+    );
+}
+
+#[test]
+fn default_manifest_results_keep_their_bits() {
     let registry = DomainRegistry::builtin();
     let jobs: Vec<JobSpec> = registry
         .ids()
@@ -99,14 +155,17 @@ fn default_manifest_ff_and_sched_results_keep_their_bits() {
         .collect();
     let digests: Vec<(String, String)> = run_manifest(&registry, &jobs, None, 1)
         .iter()
-        .filter(|o| o.domain != "dp")
         .map(|o| {
             let json = serde_json::to_string(&o.result).expect("result serializes");
             let digest = fnv1a(FNV_OFFSET, json.as_bytes());
             (o.domain.clone(), format!("{digest:016x}"))
         })
         .collect();
-    let expected = [("ff", "59ec03f00454ef5f"), ("sched", "596d3c1c37dfca65")]
-        .map(|(d, h)| (d.to_string(), h.to_string()));
+    let expected = [
+        ("dp", "1bada790bce178b6"),
+        ("ff", "59ec03f00454ef5f"),
+        ("sched", "596d3c1c37dfca65"),
+    ]
+    .map(|(d, h)| (d.to_string(), h.to_string()));
     assert_eq!(digests, expected);
 }
