@@ -34,8 +34,9 @@
 //!                     event per job whose "solver" field carries the
 //!                     job's solver-counter delta
 //!   --resume          continue interrupted jobs from checkpoints in the
-//!                     store (written after every event; cleared when a
-//!                     job finishes naturally). Requires --store
+//!                     store (written when a budget stops a job and
+//!                     every 250 ms of work; cleared when a job
+//!                     finishes naturally). Requires --store
 //!   --deadline-ms N          per-job wall-clock budget (overrides
 //!                            manifest budgets)
 //!   --max-analyzer-calls N   per-job analyzer-invocation budget

@@ -434,7 +434,14 @@ fn cancel_then_shard_restart_then_resume_through_the_gateway() {
     let (gw, gw_join) = start_gateway(peers_of(&addrs));
     let api = client_at(gw.addr());
 
-    let job = spec("sched", 0xCA7CE1);
+    // The cancel must land while the session runs, and the shards are
+    // real `runner serve` processes that cannot be held from here. So the
+    // job is a long one: dp at the explainer-sample and significance-pair
+    // limits runs about 300 ms past its second event (release build, on
+    // a 2-core host), against about 2 ms for the cancel to arrive.
+    let mut job = spec("dp", 0xCA7CE1);
+    job.config.explainer.samples = 30_000;
+    job.config.significance.pairs = 4_000;
     let (reference, _) = reference_lines(&job);
     assert!(reference.len() >= 4, "config too small to interrupt");
 

@@ -25,8 +25,10 @@
 //! drives the session's event stream, forwards events to an optional
 //! sink ([`RunOptions::sink`] — the `runner --watch` NDJSON feed),
 //! enforces per-job [`SessionBudgets`], and (with [`RunOptions::resume`])
-//! persists a checkpoint through the content-addressed store after every
-//! event so a killed runner continues mid-loop on the next invocation.
+//! persists a checkpoint through the content-addressed store when a
+//! budget or cancellation stops the session, and at event boundaries
+//! every `CHECKPOINT_INTERVAL` (250 ms) of work, so an interrupted or
+//! killed runner continues mid-loop on the next invocation.
 //! A job that panics becomes a [`SessionError::Internal`] outcome at its
 //! own index; the other jobs of the run are unaffected.
 //!
@@ -62,6 +64,38 @@ pub struct JobSpec {
     /// result cache; their checkpoints still persist under `--resume`.
     #[serde(default)]
     pub budgets: SessionBudgets,
+}
+
+/// The largest per-job counts a [`JobSpec`] may ask for: about ten times
+/// the largest config the repo ships (E4's 3,000 explainer samples, the
+/// 2,000 default coverage samples, E5's 400 significance pairs). Budgets,
+/// the deadline included, are checked only between stages, so a count
+/// past these would hold a worker inside one stage for minutes.
+const MAX_SAMPLES: usize = 30_000;
+const MAX_STREAMS: usize = 64;
+const MAX_PAIRS: usize = 4_000;
+const MAX_COVERAGE: usize = 20_000;
+
+impl JobSpec {
+    /// Refuse a spec that asks for more than 30,000 explainer samples,
+    /// 64 explainer streams, 4,000 significance pairs or 20,000 coverage
+    /// samples; the error names the first such field. The serving tier
+    /// checks every spec it is sent (a 400) before queueing it.
+    pub fn check_sizes(&self) -> Result<(), SessionError> {
+        fn limit(field: &str, value: usize, max: usize) -> Result<(), SessionError> {
+            if value <= max {
+                return Ok(());
+            }
+            Err(SessionError::InvalidConfig {
+                message: format!("{field} is {value}, above the limit of {max}"),
+            })
+        }
+        let c = &self.config;
+        limit("config.explainer.samples", c.explainer.samples, MAX_SAMPLES)?;
+        limit("config.explainer.threads", c.explainer.threads, MAX_STREAMS)?;
+        limit("config.significance.pairs", c.significance.pairs, MAX_PAIRS)?;
+        limit("config.coverage_samples", c.coverage_samples, MAX_COVERAGE)
+    }
 }
 
 /// Terminal-event metadata and budget accounting for one executed
@@ -246,9 +280,11 @@ pub type EventSink<'s> = &'s (dyn Fn(usize, &SessionEvent) + Sync);
 pub struct RunOptions<'s> {
     /// Override every job's budgets (CLI flags beat manifest fields).
     pub budgets_override: Option<SessionBudgets>,
-    /// Load a persisted checkpoint before running each job and persist
-    /// one after every event, so an interrupted or killed run continues
-    /// mid-loop next time. Requires a store; a no-op without one.
+    /// Load a persisted checkpoint before running each job, persist one
+    /// when a budget or cancellation stops it and at event boundaries
+    /// every `CHECKPOINT_INTERVAL` (250 ms) of work, so an interrupted
+    /// or killed run continues mid-loop next time. Requires a store; a
+    /// no-op without one.
     pub resume: bool,
     /// Forward every session event as it happens.
     pub sink: Option<EventSink<'s>>,
@@ -335,6 +371,20 @@ pub(crate) fn blank_outcome(job: &JobSpec, index: usize) -> JobOutcome {
     }
 }
 
+/// The least work a job does between two checkpoints it persists at
+/// event boundaries: `drive_job` writes one only once this much time has
+/// passed since the execution started or last wrote one. Sessions are
+/// deterministic, so a skipped checkpoint costs only recomputation,
+/// never a different result; a SIGKILL loses at most this interval plus
+/// one stage of work. 250 ms keeps checkpoints a small share of any long
+/// session even where a publish with real fsyncs costs a few ms, and
+/// the 5–25 ms benchmark sessions write none. A default-config job run
+/// alone (37–390 ms measured on a 2-core host) writes none unless it
+/// runs past 250 ms, and then one per 250 ms of work.
+/// An interrupted session (budget, cancel, shutdown) always persists
+/// its checkpoint on the way out.
+const CHECKPOINT_INTERVAL: std::time::Duration = std::time::Duration::from_millis(250);
+
 /// The body of [`run_job`], outside its panic boundary.
 fn drive_job(
     registry: &DomainRegistry,
@@ -396,6 +446,7 @@ fn drive_job(
     };
 
     let mut finished: Option<(FinishReason, PipelineResult)> = None;
+    let mut last_save = start;
     while let Some(event) = session.next_event() {
         if let Some(sink) = opts.sink {
             sink(index, &event);
@@ -405,10 +456,11 @@ fn drive_job(
                 finished = Some((*reason, result.clone()));
             }
             _ => {
-                if opts.resume {
+                if opts.resume && last_save.elapsed() >= CHECKPOINT_INTERVAL {
                     if let Some(store) = store {
                         // Best-effort: a failed write only costs replay.
                         let _ = store.save_checkpoint(&job.domain, &config, &session.checkpoint());
+                        last_save = std::time::Instant::now();
                     }
                 }
             }
@@ -502,6 +554,70 @@ pub(crate) mod tests {
         registry
     }
 
+    /// The built-in sched domain under the id `slow-sched`. The first gap
+    /// any of its oracles computes sleeps [`CHECKPOINT_INTERVAL`] plus
+    /// 50 ms, so the first session to run it reaches its first event
+    /// boundary past the interval and the rest quickly.
+    struct SlowSchedDomain(
+        crate::SchedDomain,
+        std::sync::Arc<std::sync::atomic::AtomicBool>,
+    );
+
+    struct SlowFirstGap {
+        inner: Box<dyn GapOracle>,
+        slept: std::sync::Arc<std::sync::atomic::AtomicBool>,
+    }
+
+    impl GapOracle for SlowFirstGap {
+        fn dims(&self) -> usize {
+            self.inner.dims()
+        }
+        fn bounds(&self) -> Vec<(f64, f64)> {
+            self.inner.bounds()
+        }
+        fn gap(&self, x: &[f64]) -> f64 {
+            if !self.slept.swap(true, Ordering::Relaxed) {
+                std::thread::sleep(CHECKPOINT_INTERVAL + std::time::Duration::from_millis(50));
+            }
+            self.inner.gap(x)
+        }
+    }
+
+    impl crate::domain::Domain for SlowSchedDomain {
+        fn id(&self) -> &str {
+            "slow-sched"
+        }
+        fn description(&self) -> String {
+            "sched with a slow first gap".into()
+        }
+        fn oracle(&self) -> Box<dyn GapOracle> {
+            Box::new(SlowFirstGap {
+                inner: self.0.oracle(),
+                slept: self.1.clone(),
+            })
+        }
+        fn mapper(&self) -> Option<Box<dyn DslMapper>> {
+            self.0.mapper()
+        }
+        fn seeds(&self) -> Vec<Vec<f64>> {
+            self.0.seeds()
+        }
+        fn instance_family(&self, seed: u64) -> Vec<Observation> {
+            self.0.instance_family(seed)
+        }
+    }
+
+    fn checkpoints_in(dir: &std::path::Path) -> usize {
+        std::fs::read_dir(dir)
+            .map(|entries| {
+                entries
+                    .filter_map(Result::ok)
+                    .filter(|e| e.path().extension().is_some_and(|x| x == "ckpt"))
+                    .count()
+            })
+            .unwrap_or(0)
+    }
+
     fn tiny_job(domain: &str, seed: u64) -> JobSpec {
         let mut config = PipelineConfig {
             max_subspaces: 1,
@@ -575,6 +691,167 @@ pub(crate) mod tests {
         config.seed = outcomes[0].derived_seed;
         assert_eq!(store.origin("sched", &config).as_deref(), Some("batch-7"));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A job shorter than [`CHECKPOINT_INTERVAL`] persists no checkpoint
+    /// at its event boundaries. A checkpoint written at one boundary is on
+    /// disk when the next event reaches the sink, so the sink checks the
+    /// store at every event whose previous one came before the interval
+    /// had elapsed since before the job started (a slow host only checks
+    /// fewer boundaries, never none).
+    #[test]
+    fn a_short_job_writes_no_checkpoint_at_event_boundaries() {
+        let dir = std::env::temp_dir().join(format!("xplain-exec-short-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = ResultStore::new(&dir);
+        let registry = DomainRegistry::builtin();
+        let seen = std::sync::Mutex::new(Vec::new());
+        for domain in ["sched", "ff"] {
+            let start = std::time::Instant::now();
+            let previous = std::sync::Mutex::new(None);
+            let sink = |_: usize, _: &SessionEvent| {
+                if let Some(at) = previous.lock().unwrap().replace(start.elapsed()) {
+                    if at < CHECKPOINT_INTERVAL {
+                        seen.lock().unwrap().push(checkpoints_in(&dir));
+                    }
+                }
+            };
+            let opts = RunOptions {
+                resume: true,
+                sink: Some(&sink),
+                ..RunOptions::default()
+            };
+            let job = tiny_job(domain, 9);
+            let outcome = run_job(&registry, &job, 0, Some(&store), opts, CancelToken::new());
+            assert!(outcome.error.is_none(), "{:?}", outcome.error);
+        }
+        let seen = seen.into_inner().unwrap();
+        assert!(!seen.is_empty(), "no boundary came inside the interval");
+        assert!(
+            seen.iter().all(|&n| n == 0),
+            "checkpoints per boundary: {seen:?}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A session that runs past [`CHECKPOINT_INTERVAL`] persists a
+    /// mid-run checkpoint and then no other until the interval has passed
+    /// again, and a copy of it resumes over a store without the result to
+    /// the uninterrupted run's bytes.
+    #[test]
+    fn a_long_session_checkpoints_mid_run_and_resumes_from_it() {
+        let root = std::env::temp_dir().join(format!("xplain-exec-long-{}", std::process::id()));
+        let (full_dir, copy_dir) = (root.join("full"), root.join("copy"));
+        let _ = std::fs::remove_dir_all(&root);
+        std::fs::create_dir_all(&copy_dir).unwrap();
+        let mut registry = DomainRegistry::builtin();
+        registry.register(Box::new(SlowSchedDomain(
+            crate::SchedDomain::small(),
+            Default::default(),
+        )));
+        let job = tiny_job("slow-sched", 5);
+        // At every event: when the sink saw it, and the checkpoint bytes
+        // on disk then.
+        let seen = std::sync::Mutex::new(Vec::new());
+        let sink = |_: usize, _: &SessionEvent| {
+            let ckpt = std::fs::read_dir(&full_dir).ok().and_then(|entries| {
+                entries
+                    .filter_map(Result::ok)
+                    .find(|e| e.path().extension().is_some_and(|x| x == "ckpt"))
+            });
+            if let Some(entry) = &ckpt {
+                if !copy_dir.join(entry.file_name()).exists() {
+                    std::fs::copy(entry.path(), copy_dir.join(entry.file_name())).unwrap();
+                }
+            }
+            let bytes = ckpt.and_then(|e| std::fs::read(e.path()).ok());
+            seen.lock()
+                .unwrap()
+                .push((std::time::Instant::now(), bytes));
+        };
+        let opts = RunOptions {
+            resume: true,
+            sink: Some(&sink),
+            ..RunOptions::default()
+        };
+        let full_store = ResultStore::new(&full_dir);
+        let full = run_job(
+            &registry,
+            &job,
+            0,
+            Some(&full_store),
+            opts,
+            CancelToken::new(),
+        );
+        assert!(full.error.is_none(), "{:?}", full.error);
+        assert_eq!(checkpoints_in(&full_dir), 0, "natural completion clears it");
+
+        // The first checkpoint was written after the sink saw the event
+        // before it; a second one may only appear a full interval later.
+        let seen = seen.into_inner().unwrap();
+        let first = seen
+            .iter()
+            .position(|(_, bytes)| bytes.is_some())
+            .expect("a mid-run checkpoint was written");
+        assert!(first > 0);
+        let (written_after, first_bytes) = (seen[first - 1].0, &seen[first].1);
+        for (at, bytes) in &seen[first..] {
+            if *at < written_after + CHECKPOINT_INTERVAL {
+                assert_eq!(bytes, first_bytes, "a checkpoint within the interval");
+            }
+        }
+
+        let copy_store = ResultStore::new(&copy_dir);
+        let opts = RunOptions {
+            resume: true,
+            ..RunOptions::default()
+        };
+        let resumed = run_job(
+            &registry,
+            &job,
+            0,
+            Some(&copy_store),
+            opts,
+            CancelToken::new(),
+        );
+        let finish = resumed.finish.as_ref().expect("a session ran");
+        assert!(finish.resumed && finish.natural, "{finish:?}");
+        let bytes = |o: &JobOutcome| serde_json::to_string(&o.result).unwrap();
+        assert_eq!(bytes(&resumed), bytes(&full));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// Every config the repo ships fits the size limits: the defaults
+    /// (`runner --emit-manifest`) and E4/E5's counts. Each count is
+    /// admitted at its limit and refused one past it, naming the field.
+    #[test]
+    fn job_sizes_admit_the_shipped_configs_and_name_the_field_past_a_limit() {
+        let mut job = tiny_job("dp", 1);
+        job.config = PipelineConfig::default();
+        assert_eq!(job.check_sizes(), Ok(()));
+        job.config.explainer.samples = 3_000;
+        job.config.significance.pairs = 400;
+        assert_eq!(job.check_sizes(), Ok(()));
+        let c = &mut job.config;
+        c.explainer.samples = MAX_SAMPLES;
+        c.explainer.threads = MAX_STREAMS;
+        c.significance.pairs = MAX_PAIRS;
+        c.coverage_samples = MAX_COVERAGE;
+        assert_eq!(job.check_sizes(), Ok(()), "every count at its limit");
+        // The fields are checked in order, so raising them from the last
+        // makes each in turn the first one past its limit.
+        let refused = |job: &JobSpec| match job.check_sizes() {
+            Err(SessionError::InvalidConfig { message }) => message,
+            other => panic!("admitted past a limit: {other:?}"),
+        };
+        job.config.coverage_samples += 1;
+        assert!(refused(&job).starts_with("config.coverage_samples is 20001,"));
+        job.config.significance.pairs += 1;
+        assert!(refused(&job).starts_with("config.significance.pairs is 4001,"));
+        job.config.explainer.threads += 1;
+        assert!(refused(&job).starts_with("config.explainer.threads is 65,"));
+        job.config.explainer.samples += 1;
+        assert!(refused(&job).starts_with("config.explainer.samples is 30001,"));
     }
 
     #[test]

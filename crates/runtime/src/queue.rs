@@ -1224,7 +1224,8 @@ impl<'a> JobQueue<'a> {
             )
         };
         // Journal the dispatch: a crash mid-run replays as live and the
-        // restarted execution resumes from the session checkpoint.
+        // restarted execution resumes from the session's last periodic
+        // checkpoint, or starts over if it had written none.
         if let Some(journal) = self.journal {
             journal.record_started(key);
         }

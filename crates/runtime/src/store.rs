@@ -112,16 +112,28 @@ impl ResultStore {
 
     /// The content-addressed key of a job.
     pub fn key(domain: &str, config: &PipelineConfig) -> u64 {
-        let config_json = serde_json::to_string(config).unwrap_or_default();
-        let mut h = fnv1a64(domain.as_bytes());
-        h = fnv1a64_continue(h, &[0]);
-        fnv1a64_continue(h, config_json.as_bytes())
+        key_of(domain, &serde_json::to_string(config).unwrap_or_default())
     }
 
     /// On-disk path of a job's entry.
     pub fn entry_path(&self, domain: &str, config: &PipelineConfig) -> PathBuf {
-        self.dir
-            .join(format!("{:016x}.json", Self::key(domain, config)))
+        self.keyed_path(Self::key(domain, config), "json")
+    }
+
+    /// `{key:016x}.{ext}` in the store directory.
+    fn keyed_path(&self, key: u64, ext: &str) -> PathBuf {
+        self.dir.join(format!("{key:016x}.{ext}"))
+    }
+
+    /// Publish `bytes` as `{key:016x}.{ext}` through a private temp file
+    /// `.{key:016x}.{pid}.{n}.{tmp_ext}` ([`publish_durable`]).
+    fn publish_keyed(&self, key: u64, ext: &str, tmp_ext: &str, bytes: &[u8]) -> io::Result<()> {
+        let tmp_path = self.dir.join(format!(
+            ".{key:016x}.{}.{}.{tmp_ext}",
+            std::process::id(),
+            TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
+        ));
+        publish_durable(&self.dir, &tmp_path, &self.keyed_path(key, ext), bytes)
     }
 
     /// Fetch a cached result. `None` means miss — including unreadable or
@@ -130,13 +142,14 @@ impl ResultStore {
     /// before the stamp existed read back as version 0 and miss too),
     /// which callers recompute.
     pub fn lookup(&self, domain: &str, config: &PipelineConfig) -> Option<PipelineResult> {
-        let text = fs::read_to_string(self.entry_path(domain, config)).ok()?;
+        let config_json = serde_json::to_string(config).ok()?;
+        let path = self.keyed_path(key_of(domain, &config_json), "json");
+        let text = fs::read_to_string(path).ok()?;
         let entry: StoreEntry = serde_json::from_str(&text).ok()?;
         if entry.result.schema_version != PIPELINE_SCHEMA_VERSION {
             return None;
         }
-        let same_config =
-            serde_json::to_string(&entry.config).ok()? == serde_json::to_string(config).ok()?;
+        let same_config = serde_json::to_string(&entry.config).ok()? == config_json;
         (entry.domain == domain && same_config).then_some(entry.result)
     }
 
@@ -171,14 +184,7 @@ impl ResultStore {
         };
         let json = serde_json::to_string(&entry)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        let final_path = self.entry_path(domain, config);
-        let tmp_path = self.dir.join(format!(
-            ".{:016x}.{}.{}.tmp",
-            Self::key(domain, config),
-            std::process::id(),
-            TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
-        publish_durable(&self.dir, &tmp_path, &final_path, json.as_bytes())
+        self.publish_keyed(Self::key(domain, config), "json", "tmp", json.as_bytes())
     }
 
     /// Read back the origin tag of a committed entry (`None` for
@@ -192,8 +198,7 @@ impl ResultStore {
     /// On-disk path of a job's session checkpoint (`.ckpt`, deliberately
     /// not `.json`, so [`ResultStore::len`] keeps counting results only).
     pub fn checkpoint_path(&self, domain: &str, config: &PipelineConfig) -> PathBuf {
-        self.dir
-            .join(format!("{:016x}.ckpt", Self::key(domain, config)))
+        self.keyed_path(Self::key(domain, config), "ckpt")
     }
 
     /// Fetch a persisted session checkpoint for this job. `None` on any
@@ -204,13 +209,14 @@ impl ResultStore {
         domain: &str,
         config: &PipelineConfig,
     ) -> Option<SessionCheckpoint> {
-        let text = fs::read_to_string(self.checkpoint_path(domain, config)).ok()?;
+        let config_json = serde_json::to_string(config).ok()?;
+        let path = self.keyed_path(key_of(domain, &config_json), "ckpt");
+        let text = fs::read_to_string(path).ok()?;
         let entry: CheckpointEntry = serde_json::from_str(&text).ok()?;
         if entry.checkpoint.schema_version != SESSION_CHECKPOINT_SCHEMA_VERSION {
             return None;
         }
-        let same_config =
-            serde_json::to_string(&entry.config).ok()? == serde_json::to_string(config).ok()?;
+        let same_config = serde_json::to_string(&entry.config).ok()? == config_json;
         (entry.domain == domain && same_config).then_some(entry.checkpoint)
     }
 
@@ -231,14 +237,12 @@ impl ResultStore {
         };
         let json = serde_json::to_string(&entry)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        let final_path = self.checkpoint_path(domain, config);
-        let tmp_path = self.dir.join(format!(
-            ".{:016x}.{}.{}.ckpt.tmp",
+        self.publish_keyed(
             Self::key(domain, config),
-            std::process::id(),
-            TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
-        publish_durable(&self.dir, &tmp_path, &final_path, json.as_bytes())
+            "ckpt",
+            "ckpt.tmp",
+            json.as_bytes(),
+        )
     }
 
     /// Remove a job's checkpoint (after its session finished naturally
@@ -394,6 +398,12 @@ pub(crate) fn fsync_dir(dir: &Path) {
     if let Ok(handle) = File::open(dir) {
         let _ = handle.sync_all();
     }
+}
+
+/// [`ResultStore::key`] over a config already serialized to JSON.
+fn key_of(domain: &str, config_json: &str) -> u64 {
+    let h = fnv1a64_continue(fnv1a64(domain.as_bytes()), &[0]);
+    fnv1a64_continue(h, config_json.as_bytes())
 }
 
 /// FNV-1a (64-bit) over `bytes` — the workspace's one stable,

@@ -394,6 +394,9 @@ fn submit_job(ctx: &Ctx<'_>, request: &Request, tenant: Option<&str>) -> Respons
         Ok(s) => s,
         Err(e) => return Response::error(400, &format!("malformed JobSpec: {e:?}")),
     };
+    if let Err(e) = spec.check_sizes() {
+        return Response::error(400, &e.to_string());
+    }
     if ctx.registry.get(&spec.domain).is_none() {
         return Response::error(
             400,

@@ -412,6 +412,69 @@ fn error_envelopes_codes_and_headers_are_pinned() {
     join.join().unwrap();
 }
 
+/// A spec whose sample or pair count passes its limit is a 400 naming
+/// the field, answered before anything is queued, journaled or run: the
+/// most extreme count JSON carries exactly still adds no job.
+#[test]
+fn oversized_job_specs_are_refused_before_any_work() {
+    let store_dir = scratch_dir("oversized");
+    let (handle, join) = start_server(Some(store_dir.clone()), 16, 0);
+    let api = client(&handle);
+    let huge = (1usize << 53) - 1;
+    let oversized: [(&str, fn(&mut PipelineConfig, usize)); 4] = [
+        ("config.explainer.samples", |c, n| c.explainer.samples = n),
+        ("config.explainer.threads", |c, n| c.explainer.threads = n),
+        ("config.significance.pairs", |c, n| c.significance.pairs = n),
+        ("config.coverage_samples", |c, n| c.coverage_samples = n),
+    ];
+    for (field, set) in oversized {
+        let mut config = tiny_config();
+        set(&mut config, huge);
+        let spec = JobSpec {
+            domain: "dp".into(),
+            config,
+            seed: 1,
+            budgets: SessionBudgets::unlimited(),
+        };
+        let resp = api
+            .post("/v1/jobs", &serde_json::to_string(&spec).unwrap())
+            .unwrap();
+        assert_eq!(resp.status, 400, "{field}: {}", resp.body);
+        assert!(resp.body.contains(field), "{}", resp.body);
+    }
+    let mut config = tiny_config();
+    config.explainer.samples = 30_001;
+    let spec = JobSpec {
+        domain: "dp".into(),
+        config,
+        seed: 1,
+        budgets: SessionBudgets::unlimited(),
+    };
+    let resp = api
+        .post("/v1/jobs", &serde_json::to_string(&spec).unwrap())
+        .unwrap();
+    assert_eq!(resp.status, 400);
+    assert_eq!(
+        resp.body,
+        r#"{"error":"invalid session configuration: config.explainer.samples is 30001, above the limit of 30000"}"#
+    );
+
+    let metrics: serde::Value =
+        serde_json::from_str(&api.get("/v1/metrics").unwrap().body).unwrap();
+    let queue = get_field(&metrics, "queue");
+    assert_eq!(get_field(queue, "submitted").as_f64(), Some(0.0));
+    assert_eq!(get_field(queue, "active_sessions").as_f64(), Some(0.0));
+    assert_eq!(
+        get_field(get_field(&metrics, "journal"), "records").as_f64(),
+        Some(0.0)
+    );
+    assert_eq!(get_field(&metrics, "store_entries").as_f64(), Some(0.0));
+
+    handle.shutdown();
+    join.join().unwrap();
+    let _ = std::fs::remove_dir_all(&store_dir);
+}
+
 /// The tenancy wire surface: 401 on missing/malformed credentials, 403
 /// on unknown ones, the tenant-scoped 429 `Retry-After`, tenant
 /// attribution in `/v1/queue`, and the exact key order of the

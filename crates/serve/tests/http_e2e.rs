@@ -18,20 +18,28 @@
 //!    back (another process on the same store, e.g. a mesh shard) show
 //!    up on the very next `GET /v1/regressions` page.
 //!
+//! The interruption tests (2 and 4) never race the session they
+//! interrupt: they run a `held-sched` job, the built-in sched domain
+//! with an oracle that stops inside its session until the test has
+//! seen the cancellation land, so the session cannot finish first.
+//!
 //! Terminal watch lines embed each job's solver counts, and those are
 //! the job's own (counters are per thread), so the tests compare them
 //! byte for byte while other tests of this binary solve in parallel.
 
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
+use xplain_analyzer::oracle::GapOracle;
 use xplain_core::pipeline::{PipelineConfig, SubspaceFinding, Witness};
 use xplain_core::subspace::{Subspace, SubspaceParams};
-use xplain_core::{ExplainerParams, SignificanceParams};
+use xplain_core::{DslMapper, ExplainerParams, Observation, SignificanceParams};
 use xplain_runtime::{
-    run_manifest_opts, watch_line, BankRecord, DomainRegistry, JobOutcome, JobSpec, RegressionBank,
-    RunOptions, SessionBudgets, SessionEvent, SolverCounters, WatchLine,
+    run_manifest_opts, watch_line, BankRecord, Domain, DomainRegistry, JobOutcome, JobSpec,
+    RegressionBank, RunOptions, SchedDomain, SessionBudgets, SessionEvent, SolverCounters,
+    WatchLine,
 };
 use xplain_serve::{Client, Server, ServerConfig, ServerHandle};
 
@@ -78,11 +86,109 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// Holds one session mid-run. Every oracle of a `held-sched` domain
+/// counts its gap calls here, and the call numbered `at` waits until
+/// [`Hold::open`].
+struct Hold {
+    calls: AtomicUsize,
+    at: usize,
+    open: Mutex<bool>,
+    opened: Condvar,
+}
+
+impl Hold {
+    fn at(call: usize) -> Arc<Hold> {
+        Arc::new(Hold {
+            calls: AtomicUsize::new(0),
+            at: call,
+            open: Mutex::new(false),
+            opened: Condvar::new(),
+        })
+    }
+
+    fn never() -> Arc<Hold> {
+        Hold::at(usize::MAX)
+    }
+
+    fn open(&self) {
+        *self.open.lock().unwrap() = true;
+        self.opened.notify_all();
+    }
+
+    fn count_call(&self) {
+        if self.calls.fetch_add(1, Ordering::SeqCst) == self.at {
+            let mut open = self.open.lock().unwrap();
+            while !*open {
+                open = self.opened.wait(open).unwrap();
+            }
+        }
+    }
+}
+
+/// The built-in sched domain under the id `held-sched`, its gap calls
+/// counted (and one of them held) by a [`Hold`].
+struct HeldSched(SchedDomain, Arc<Hold>);
+
+struct HeldOracle(Box<dyn GapOracle>, Arc<Hold>);
+
+impl GapOracle for HeldOracle {
+    fn dims(&self) -> usize {
+        self.0.dims()
+    }
+    fn bounds(&self) -> Vec<(f64, f64)> {
+        self.0.bounds()
+    }
+    fn gap(&self, x: &[f64]) -> f64 {
+        self.1.count_call();
+        self.0.gap(x)
+    }
+    fn dim_names(&self) -> Vec<String> {
+        self.0.dim_names()
+    }
+}
+
+impl Domain for HeldSched {
+    fn id(&self) -> &str {
+        "held-sched"
+    }
+    fn description(&self) -> String {
+        "sched, held mid-run by the test".into()
+    }
+    fn oracle(&self) -> Box<dyn GapOracle> {
+        Box::new(HeldOracle(self.0.oracle(), self.1.clone()))
+    }
+    fn mapper(&self) -> Option<Box<dyn DslMapper>> {
+        self.0.mapper()
+    }
+    fn seeds(&self) -> Vec<Vec<f64>> {
+        self.0.seeds()
+    }
+    fn instance_family(&self, seed: u64) -> Vec<Observation> {
+        self.0.instance_family(seed)
+    }
+}
+
+fn held_registry(hold: Arc<Hold>) -> DomainRegistry {
+    let mut registry = DomainRegistry::builtin();
+    registry.register(Box::new(HeldSched(SchedDomain::small(), hold)));
+    registry
+}
+
 /// Bind on an ephemeral port and run the server on a background thread.
 fn start_server(
     store_dir: Option<PathBuf>,
     workers: usize,
     capacity: usize,
+) -> (ServerHandle, std::thread::JoinHandle<()>) {
+    start_held_server(store_dir, workers, capacity, Hold::never())
+}
+
+/// [`start_server`] whose registry also has `held-sched` under `hold`.
+fn start_held_server(
+    store_dir: Option<PathBuf>,
+    workers: usize,
+    capacity: usize,
+    hold: Arc<Hold>,
 ) -> (ServerHandle, std::thread::JoinHandle<()>) {
     let server = Server::bind(ServerConfig {
         addr: "127.0.0.1:0".into(),
@@ -97,8 +203,7 @@ fn start_server(
     .expect("ephemeral bind");
     let handle = server.handle();
     let join = std::thread::spawn(move || {
-        let registry = DomainRegistry::builtin();
-        server.run(&registry).expect("server runs");
+        server.run(&held_registry(hold)).expect("server runs");
     });
     (handle, join)
 }
@@ -110,14 +215,40 @@ fn client(handle: &ServerHandle) -> Client {
 /// The `runner --watch` lines of a direct, serial, storeless run — the
 /// reference the served stream must match byte-for-byte.
 fn reference_lines(job: &JobSpec) -> (Vec<String>, JobOutcome) {
-    let registry = DomainRegistry::builtin();
+    let (lines, outcome, _) = counted_reference(job);
+    (lines, outcome)
+}
+
+/// The reference stream of a `held-sched` job, and a hold that stops the
+/// served run of the same job in its first gap call after `events`
+/// events (sessions are deterministic, so the served run makes the same
+/// calls as the reference).
+fn held_reference(job: &JobSpec, events: usize) -> (Vec<String>, Arc<Hold>) {
+    let (lines, _, calls) = counted_reference(job);
+    assert!(
+        calls[events - 1] < calls[calls.len() - 2],
+        "no gap call between event {events} and the last stage"
+    );
+    (lines, Hold::at(calls[events - 1]))
+}
+
+/// [`reference_lines`], and how many `held-sched` gap calls the run had
+/// made when each event reached the sink.
+fn counted_reference(job: &JobSpec) -> (Vec<String>, JobOutcome, Vec<usize>) {
+    let counter = Hold::never();
+    let registry = held_registry(counter.clone());
     let jobs = vec![job.clone()];
     let lines: Mutex<Vec<String>> = Mutex::new(Vec::new());
+    let calls: Mutex<Vec<usize>> = Mutex::new(Vec::new());
     let sink = |index: usize, event: &SessionEvent| {
         lines
             .lock()
             .unwrap()
             .push(watch_line(index, &jobs[index].domain, event));
+        calls
+            .lock()
+            .unwrap()
+            .push(counter.calls.load(Ordering::SeqCst));
     };
     let opts = RunOptions {
         budgets_override: None,
@@ -129,6 +260,7 @@ fn reference_lines(job: &JobSpec) -> (Vec<String>, JobOutcome) {
     (
         lines.into_inner().unwrap(),
         outcomes.into_iter().next().unwrap(),
+        calls.into_inner().unwrap(),
     )
 }
 
@@ -281,18 +413,19 @@ fn served_streams_match_direct_runs_for_all_domains() {
 #[test]
 fn cancelled_stream_resumes_on_resubmit_with_identical_concatenated_stream() {
     let store_dir = scratch_dir("cancel-resume");
-    let (handle, join) = start_server(Some(store_dir.clone()), 1, 16);
+    let job = spec("held-sched", 0xCA7CE1);
+    let (reference, hold) = held_reference(&job, 2);
+    let (handle, join) = start_held_server(Some(store_dir.clone()), 1, 16, hold.clone());
     let api = client(&handle);
 
-    let job = spec("sched", 0xCA7CE1);
-    let (reference, _) = reference_lines(&job);
     assert!(
         reference.len() >= 4,
         "config too small to interrupt meaningfully ({} events)",
         reference.len()
     );
 
-    // Submit and start streaming; cancel after two events arrive.
+    // Submit and start streaming; cancel after two events arrive. The
+    // session waits in its next gap call until the cancel is answered.
     let resp = api.post("/v1/jobs", &spec_json(&job)).unwrap();
     assert_eq!(resp.status, 202);
     let submit: SubmitResp = serde_json::from_str(&resp.body).unwrap();
@@ -307,6 +440,7 @@ fn cancelled_stream_resumes_on_resubmit_with_identical_concatenated_stream() {
         .post(&format!("/v1/jobs/{}/cancel", submit.id), "")
         .unwrap();
     assert_eq!(resp.status, 200, "{}", resp.body);
+    hold.open();
     // Drain to the terminal event the cancellation forces.
     first_segment.extend(stream.collect_lines().unwrap());
     let terminal = first_segment.pop().expect("cancelled stream terminates");
@@ -455,11 +589,13 @@ fn full_queue_answers_429_and_error_paths_are_clean() {
 #[test]
 fn shutdown_checkpoints_inflight_and_next_server_resumes() {
     let store_dir = scratch_dir("shutdown");
-    let job = spec("sched", 0x5D0D0);
-    let (reference, _) = reference_lines(&job);
+    let job = spec("held-sched", 0x5D0D0);
+    let (reference, hold) = held_reference(&job, 1);
 
     // Server 1: start the job, take one event, shut down via the API.
-    let (handle, join) = start_server(Some(store_dir.clone()), 1, 16);
+    // The session waits in its next gap call until the shutdown has
+    // cancelled it.
+    let (handle, join) = start_held_server(Some(store_dir.clone()), 1, 16, hold.clone());
     let api = client(&handle);
     let resp = api.post("/v1/jobs", &spec_json(&job)).unwrap();
     assert_eq!(resp.status, 202);
@@ -468,8 +604,22 @@ fn shutdown_checkpoints_inflight_and_next_server_resumes() {
         .stream(&format!("/v1/jobs/{}/events", submit.id))
         .unwrap();
     let mut first_segment = vec![stream.next_line().unwrap().expect("live event")];
+    // A second job waits behind the held one. The drain cancels waiting
+    // jobs and running sessions under one lock, so once the waiting
+    // job's stream has ended the held session's cancel is set.
+    let resp = api
+        .post("/v1/jobs", &spec_json(&spec("sched", 0x5D0D1)))
+        .unwrap();
+    assert_eq!(resp.status, 202);
+    let waiting: SubmitResp = serde_json::from_str(&resp.body).unwrap();
+    assert_eq!(waiting.status, "queued", "{}", resp.body);
+    let (_, mut waiting_stream) = api
+        .stream(&format!("/v1/jobs/{}/events", waiting.id))
+        .unwrap();
     let resp = api.post("/v1/shutdown", "").unwrap();
     assert_eq!(resp.status, 200);
+    waiting_stream.collect_lines().unwrap();
+    hold.open();
     // The shutdown cancels the session; its stream ends with a terminal
     // event and the server drains.
     first_segment.extend(stream.collect_lines().unwrap());
